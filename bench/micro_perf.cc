@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): the hot paths of the pipeline —
-// wire codec, radix trie, decision process, classifier, dampener, and the
-// end-to-end simulator event rate.
+// wire codec, radix trie, decision process, RIB flap cycle, classifier,
+// dampener, and the end-to-end simulator event rate.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -9,6 +9,7 @@
 
 #include "bgp/decision.h"
 #include "bgp/message.h"
+#include "bgp/rib.h"
 #include "core/classifier.h"
 #include "netbase/radix_trie.h"
 #include "netbase/rng.h"
@@ -104,6 +105,62 @@ void BM_DecisionProcess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DecisionProcess)->Arg(2)->Arg(8)->Arg(32);
+
+// The RIB at paper scale — 42k prefixes from each of 16 peers — under the
+// workload's dominant pattern: a route is withdrawn and re-announced, a
+// quarter of the time with a changed AS path. One iteration is one such
+// flap (two RIB calls); the (peer, prefix) draws are seeded and fixed.
+void BM_RibAnnounceWithdraw(benchmark::State& state) {
+  constexpr int kPrefixes = 42000;
+  constexpr int kPeers = 16;
+  Rng rng(5);
+  std::vector<Prefix> prefixes;
+  for (int i = 0; i < kPrefixes; ++i) {
+    const auto bits = static_cast<std::uint32_t>(rng.Next());
+    prefixes.emplace_back(IPv4Address(bits),
+                          static_cast<std::uint8_t>(rng.Range(16, 24)));
+  }
+  // attrs[2p] is peer p's usual path, attrs[2p + 1] its alternate.
+  std::vector<bgp::PathAttributes> attrs;
+  for (int p = 0; p < kPeers; ++p) {
+    const auto asn = static_cast<bgp::Asn>(100 + p);
+    for (const bool alternate : {false, true}) {
+      bgp::PathAttributes& a = attrs.emplace_back();
+      a.as_path = alternate ? bgp::AsPath::Sequence({asn, 3561, 7018})
+                            : bgp::AsPath::Sequence({asn, 7018});
+      a.next_hop = IPv4Address(198, 32, 1, static_cast<std::uint8_t>(p + 1));
+    }
+  }
+  bgp::Rib rib;
+  for (int p = 0; p < kPeers; ++p) {
+    rib.AddPeer(static_cast<bgp::PeerId>(p),
+                IPv4Address(198, 32, 1, static_cast<std::uint8_t>(p + 1)));
+    for (const Prefix& prefix : prefixes) {
+      rib.Announce(static_cast<bgp::PeerId>(p), prefix, attrs[2 * p]);
+    }
+  }
+  struct Flap {
+    bgp::PeerId peer;
+    std::uint32_t prefix;
+    bool alternate;
+  };
+  std::vector<Flap> flaps(1 << 16);
+  for (Flap& f : flaps) {
+    f.peer = static_cast<bgp::PeerId>(rng.Below(kPeers));
+    f.prefix = static_cast<std::uint32_t>(rng.Below(kPrefixes));
+    f.alternate = rng.Bernoulli(0.25);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Flap& f = flaps[i++ & (flaps.size() - 1)];
+    const Prefix& prefix = prefixes[f.prefix];
+    benchmark::DoNotOptimize(rib.Withdraw(f.peer, prefix));
+    benchmark::DoNotOptimize(
+        rib.Announce(f.peer, prefix, attrs[2 * f.peer + f.alternate]));
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_RibAnnounceWithdraw);
 
 void BM_ClassifierThroughput(benchmark::State& state) {
   Rng rng(4);

@@ -1,11 +1,27 @@
 #include "bgp/rib.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "core/invariants.h"
 
 namespace iri::bgp {
 
+namespace {
+
+// The candidate `peer` holds among `candidates`, or end().
+template <typename Candidates>
+auto FromPeer(Candidates& candidates, PeerId peer) {
+  return std::find_if(candidates.begin(), candidates.end(),
+                      [peer](const Candidate& c) { return c.peer == peer; });
+}
+
+}  // namespace
+
 void Rib::AddPeer(PeerId peer, IPv4Address router_id) {
-  peers_[peer] = router_id;
+  if (Slot(peer) >= peers_.size()) peers_.resize(Slot(peer) + 1);
+  peers_[Slot(peer)].router_id = router_id;
+  peers_[Slot(peer)].registered = true;
 }
 
 RibChange Rib::Announce(PeerId peer, Route route) {
@@ -15,226 +31,193 @@ RibChange Rib::Announce(PeerId peer, Route route) {
 RibChange Rib::Announce(PeerId peer, const Prefix& prefix,
                         const PathAttributes& attrs) {
   obs::ScopedTimer timer(&announce_site_, 1);
-  IRI_ASSERT(peers_.contains(peer),
+  IRI_ASSERT(HasPeer(peer),
              "Announce from a peer never registered with AddPeer");
-  Entry* entry;
-  if (Entry** slot = index_.Find(prefix); slot != nullptr) {
-    entry = *slot;
-  } else {
-    table_.Insert(prefix, Entry{});
-    entry = table_.Find(prefix);
-    *index_.TryEmplace(prefix).first = entry;
+  const auto [id, inserted] = index_.TryEmplace(prefix);
+  if (inserted) {
+    *id = static_cast<std::uint32_t>(entries_.size());
+    entries_.emplace_back().prefix = prefix;
   }
-  if (entry->candidates.empty()) ++num_prefixes_;  // fresh entry or tombstone
-  const bool had_best = entry->best >= 0;
-  const PeerId old_best_peer =
-      had_best ? entry->candidates[static_cast<std::size_t>(entry->best)].peer
-               : kLocalPeer;
+  Entry& entry = entries_[*id];
+  if (entry.candidates.empty()) ++num_prefixes_;  // fresh entry or tombstone
+  const bool had_best = entry.best >= 0;
+  const PeerId old_best_peer = had_best ? entry.Best().peer : kLocalPeer;
 
   // Only the announcing peer's candidate can mutate, so change detection
-  // needs exactly one comparison, made before the overwrite — no deep copy
-  // of the previous best. Re-announcements dominate the update stream, so
-  // the replace path avoids the intern table entirely when the previous
-  // candidate already carries the answer: a byte-equal attribute set keeps
-  // everything, an unchanged AS path keeps the cached id and decision
-  // metadata. Only a genuinely new path pays for hashing.
-  bool replaced = false;
+  // needs one comparison, made before the overwrite. Re-announcements
+  // dominate the update stream, so the replace path skips the intern table
+  // when it can: a byte-equal attribute set keeps everything, an unchanged
+  // AS path keeps the cached id and decision metadata.
   bool replaced_same_attrs = false;
-  for (auto& cand : entry->candidates) {
-    if (cand.peer == peer) {  // implicit withdrawal of the previous path
-      if (cand.attributes == attrs) {
-        replaced_same_attrs = true;  // byte-equal: nothing to update
-      } else if (cand.attributes.as_path == attrs.as_path) {
-        // Path unchanged: the cached id/decision metadata stay valid.
-        cand.attributes = attrs;
-      } else {
-        const AsPathId path_id = paths_.Intern(attrs.as_path);
-        cand.attributes = attrs;
-        cand.as_path_id = path_id;
-        cand.decision_length = paths_.DecisionLength(path_id);
-        cand.first_asn = paths_.FirstAsn(path_id);
-      }
-      replaced = true;
-      break;
+  Candidate* repath = nullptr;  // candidate whose AS path must be interned
+  if (auto it = FromPeer(entry.candidates, peer);
+      it != entry.candidates.end()) {  // implicit withdrawal of the old path
+    replaced_same_attrs = it->attributes == attrs;
+    if (!replaced_same_attrs && it->attributes.as_path == attrs.as_path) {
+      it->attributes = attrs;  // path unchanged: cached metadata stay valid
+    } else if (!replaced_same_attrs) {
+      repath = &*it;
     }
-  }
-  if (!replaced) {
-    const AsPathId path_id = paths_.Intern(attrs.as_path);
-    if (!entry->pool.empty()) {
+  } else {
+    if (!entry.pool.empty()) {
       // Revive a parked candidate: its attribute buffers keep their
       // capacity, so the copy-assign below usually allocates nothing.
-      entry->candidates.push_back(std::move(entry->pool.back()));
-      entry->pool.pop_back();
+      entry.candidates.push_back(std::move(entry.pool.back()));
+      entry.pool.pop_back();
     } else {
-      entry->candidates.emplace_back();
+      entry.candidates.emplace_back();
     }
-    Candidate& incoming = entry->candidates.back();
-    incoming.peer = peer;
-    incoming.peer_router_id = peers_[peer];
-    incoming.attributes = attrs;
-    incoming.as_path_id = path_id;
-    incoming.decision_length = paths_.DecisionLength(path_id);
-    incoming.first_asn = paths_.FirstAsn(path_id);
-    peer_prefixes_[peer].insert(prefix);
+    repath = &entry.candidates.back();
+    repath->peer = peer;
+    repath->peer_router_id = peers_[Slot(peer)].router_id;
+    ++peers_[Slot(peer)].routes;
     ++num_routes_;
   }
-
-  entry->best = SelectBest(entry->candidates);
-  IRI_DCHECK(entry->best >= 0 && static_cast<std::size_t>(entry->best) <
-                                     entry->candidates.size(),
-             "decision process must pick a best route from the candidates");
-  const Candidate& new_best =
-      entry->candidates[static_cast<std::size_t>(entry->best)];
-  RibChange change;
-  change.new_best = &new_best;
-  if (!had_best || old_best_peer != new_best.peer) {
-    change.best_changed = true;
-  } else {
-    // Same peer stayed best. If it is the announcing peer its attributes may
-    // have changed (compared above); any other candidate is untouched.
-    change.best_changed = new_best.peer == peer && !replaced_same_attrs;
+  if (repath != nullptr) {
+    const AsPathId path_id = paths_.Intern(attrs.as_path);
+    repath->attributes = attrs;
+    repath->as_path_id = path_id;
+    repath->decision_length = paths_.DecisionLength(path_id);
+    repath->first_asn = paths_.FirstAsn(path_id);
   }
+
+  entry.best = SelectBest(entry.candidates);
+  IRI_DCHECK(entry.best >= 0 && static_cast<std::size_t>(entry.best) <
+                                    entry.candidates.size(),
+             "decision process must pick a best route from the candidates");
+  RibChange change;
+  change.new_best = &entry.Best();
+  // When the same peer stayed best, only the announcing peer's attributes
+  // can have changed (compared above); any other candidate is untouched.
+  change.best_changed = !had_best || old_best_peer != change.new_best->peer ||
+                        (old_best_peer == peer && !replaced_same_attrs);
   return change;
 }
 
 RibChange Rib::Withdraw(PeerId peer, const Prefix& prefix) {
   obs::ScopedTimer timer(&withdraw_site_, 1);
-  Entry* const* slot = index_.Find(prefix);
-  if (slot == nullptr) return {};
-  Entry* entry = *slot;
-  const bool had_best = entry->best >= 0;
-  const PeerId old_best_peer =
-      had_best ? entry->candidates[static_cast<std::size_t>(entry->best)].peer
-               : kLocalPeer;
-
-  bool removed = false;
-  for (std::size_t i = 0; i < entry->candidates.size(); ++i) {
-    if (entry->candidates[i].peer == peer) {
-      // Park the candidate for reuse instead of freeing its buffers: the
-      // erase below only shuffles moved-from shells.
-      entry->pool.push_back(std::move(entry->candidates[i]));
-      entry->candidates.erase(entry->candidates.begin() +
-                              static_cast<std::ptrdiff_t>(i));
-      removed = true;
-      break;
-    }
-  }
-  if (!removed) return {};  // pathological withdrawal: nothing to do
+  const std::uint32_t* id = index_.Find(prefix);
+  if (id == nullptr) return {};
+  Entry& entry = entries_[*id];
+  const auto it = FromPeer(entry.candidates, peer);
+  if (it == entry.candidates.end()) return {};  // pathological: no-op
+  const PeerId old_best_peer = entry.Best().peer;
+  // Park the candidate for reuse instead of freeing its buffers: the erase
+  // below only shuffles moved-from shells.
+  entry.pool.push_back(std::move(*it));
+  entry.candidates.erase(it);
   IRI_ASSERT(num_routes_ > 0,
-             "Adj-RIB-In count underflow: removed a route while num_routes_ "
-             "was already zero");
-  peer_prefixes_[peer].erase(prefix);
+             "Adj-RIB-In count underflow: removed a route with num_routes_ 0");
+  --peers_[Slot(peer)].routes;
   --num_routes_;
 
-  if (entry->candidates.empty()) {
-    // Tombstone: the entry (and its pooled storage) stays in the trie so
-    // the next announcement of this prefix reuses it wholesale.
-    entry->best = -1;
-    --num_prefixes_;
-    RibChange change;
-    change.best_changed = had_best;
-    return change;
-  }
-  entry->best = SelectBest(entry->candidates);
   RibChange change;
-  change.new_best = &entry->candidates[static_cast<std::size_t>(entry->best)];
   // Removing a non-best candidate never changes the best: the decision
   // ladder is a total order, so the previous maximum still wins.
-  change.best_changed = had_best && old_best_peer == peer;
+  change.best_changed = old_best_peer == peer;
+  if (entry.candidates.empty()) {
+    // Tombstone: the entry (and its pooled storage) stays in the table so
+    // the next announcement of this prefix reuses it wholesale.
+    entry.best = -1;
+    --num_prefixes_;
+    return change;
+  }
+  entry.best = SelectBest(entry.candidates);
+  change.new_best = &entry.Best();
   return change;
 }
 
 std::vector<Prefix> Rib::ClearPeer(PeerId peer) {
   std::vector<Prefix> changed;
-  auto it = peer_prefixes_.find(peer);
-  if (it == peer_prefixes_.end()) return changed;
-  // Copy: Withdraw mutates peer_prefixes_[peer].
-  const std::vector<Prefix> prefixes(it->second.begin(), it->second.end());
-  changed.reserve(prefixes.size());
-  for (const Prefix& p : prefixes) {
-    if (Withdraw(peer, p).best_changed) changed.push_back(p);
+  // Address order makes the caller's re-propagation order, and so the wire
+  // bytes, a function of the table's contents alone.
+  for (const std::uint32_t id : SortedIds()) {
+    if (PeerRouteCount(peer) == 0) break;
+    const Entry& e = entries_[id];
+    if (FromPeer(e.candidates, peer) == e.candidates.end()) continue;
+    if (Withdraw(peer, e.prefix).best_changed) changed.push_back(e.prefix);
   }
-  IRI_DCHECK(PeerRouteCount(peer) == 0,
-             "ClearPeer must drop every route learned from the peer");
   IRI_DCHECK(AuditInvariants(), "RIB bookkeeping inconsistent after ClearPeer");
   return changed;
 }
 
 const Candidate* Rib::Best(const Prefix& prefix) const {
   obs::ScopedTimer timer(&lookup_site_, 1);
-  Entry* const* slot = index_.Find(prefix);
-  if (slot == nullptr || (*slot)->best < 0) return nullptr;
-  const Entry* entry = *slot;
-  return &entry->candidates[static_cast<std::size_t>(entry->best)];
+  const std::uint32_t* id = index_.Find(prefix);
+  if (id == nullptr || entries_[*id].best < 0) return nullptr;
+  return &entries_[*id].Best();
 }
 
 std::vector<Candidate> Rib::CandidatesFor(const Prefix& prefix) const {
-  Entry* const* slot = index_.Find(prefix);
-  if (slot == nullptr) return {};
-  return (*slot)->candidates;
+  const std::uint32_t* id = index_.Find(prefix);
+  if (id == nullptr) return {};
+  return entries_[*id].candidates;
 }
 
-std::size_t Rib::PeerRouteCount(PeerId peer) const {
-  auto it = peer_prefixes_.find(peer);
-  return it == peer_prefixes_.end() ? 0 : it->second.size();
+const std::vector<std::uint32_t>& Rib::SortedIds() const {
+  const std::size_t sorted = sorted_ids_.size();
+  if (sorted == entries_.size()) return sorted_ids_;
+  const auto by_prefix = [this](std::uint32_t a, std::uint32_t b) {
+    return entries_[a].prefix < entries_[b].prefix;
+  };
+  sorted_ids_.resize(entries_.size());
+  const auto fresh = sorted_ids_.begin() + static_cast<std::ptrdiff_t>(sorted);
+  std::iota(fresh, sorted_ids_.end(), static_cast<std::uint32_t>(sorted));
+  std::sort(fresh, sorted_ids_.end(), by_prefix);
+  std::inplace_merge(sorted_ids_.begin(), fresh, sorted_ids_.end(), by_prefix);
+  return sorted_ids_;
 }
 
 bool Rib::AuditInvariants() const {
+  bool ok = true;
+  const auto check = [&ok](bool holds, const char* what) {
+    IRI_ASSERT(holds, what);
+    ok = ok && holds;
+  };
   std::size_t candidate_total = 0;
   std::size_t live_prefixes = 0;
-  std::size_t malformed_entries = 0;   // best index out of range, or a
-                                       // tombstone still claiming a best
-  std::size_t duplicate_peer_routes = 0;
-  std::size_t unindexed_routes = 0;    // candidate missing from peer_prefixes_
-  std::size_t stale_index_entries = 0; // index_ disagrees with the trie
-  table_.Visit([&](const Prefix& prefix, const Entry& e) {
-    Entry* const* idx = index_.Find(prefix);
-    if (idx == nullptr || *idx != &e) ++stale_index_entries;
+  std::vector<std::size_t> peer_routes(peers_.size(), 0);
+  for (std::uint32_t id = 0; id < entries_.size(); ++id) {
+    const Entry& e = entries_[id];
+    const std::uint32_t* idx = index_.Find(e.prefix);
+    check(idx != nullptr && *idx == id,
+          "exact-match index disagrees with the entry id");
     candidate_total += e.candidates.size();
-    if (e.candidates.empty()) {
-      if (e.best != -1) ++malformed_entries;
-      return;  // tombstone: parked storage only, invisible to readers
+    if (!e.candidates.empty()) ++live_prefixes;
+    check(e.candidates.empty()
+              ? e.best == -1
+              : e.best >= 0 &&
+                    static_cast<std::size_t>(e.best) < e.candidates.size(),
+          "RIB entry best index out of range or tombstone with a best");
+    for (auto c = e.candidates.begin(); c != e.candidates.end(); ++c) {
+      check(FromPeer(e.candidates, c->peer) == c,
+            "Adj-RIB-In holds two routes from one peer for one prefix");
+      check(HasPeer(c->peer), "route from a peer never registered");
+      if (HasPeer(c->peer)) ++peer_routes[Slot(c->peer)];
     }
-    ++live_prefixes;
-    if (e.best < 0 ||
-        static_cast<std::size_t>(e.best) >= e.candidates.size()) {
-      ++malformed_entries;
-    }
-    for (std::size_t i = 0; i < e.candidates.size(); ++i) {
-      for (std::size_t j = i + 1; j < e.candidates.size(); ++j) {
-        if (e.candidates[i].peer == e.candidates[j].peer) {
-          ++duplicate_peer_routes;
-        }
-      }
-      auto it = peer_prefixes_.find(e.candidates[i].peer);
-      if (it == peer_prefixes_.end() || !it->second.contains(prefix)) {
-        ++unindexed_routes;
-      }
-    }
-  });
-  std::size_t indexed_total = 0;
-  for (const auto& [peer, prefixes] : peer_prefixes_) {
-    indexed_total += prefixes.size();
   }
-
-  IRI_ASSERT(malformed_entries == 0,
-             "RIB entry best index out of range or tombstone with a best");
-  IRI_ASSERT(live_prefixes == num_prefixes_,
-             "num_prefixes_ disagrees with the table's live entry count");
-  IRI_ASSERT(stale_index_entries == 0 && index_.size() == table_.size(),
-             "exact-match index out of sync with the trie");
-  IRI_ASSERT(duplicate_peer_routes == 0,
-             "Adj-RIB-In holds two routes from one peer for one prefix");
-  IRI_ASSERT(unindexed_routes == 0,
-             "route present in the table but missing from the per-peer index");
-  IRI_ASSERT(candidate_total == num_routes_,
-             "num_routes_ disagrees with the table's candidate count");
-  IRI_ASSERT(indexed_total == num_routes_,
-             "num_routes_ disagrees with the per-peer index total");
-  return malformed_entries == 0 && duplicate_peer_routes == 0 &&
-         unindexed_routes == 0 && candidate_total == num_routes_ &&
-         indexed_total == num_routes_ && live_prefixes == num_prefixes_ &&
-         stale_index_entries == 0 && index_.size() == table_.size();
+  for (std::size_t slot = 0; slot < peers_.size(); ++slot) {
+    check(peer_routes[slot] == peers_[slot].routes,
+          "per-peer route count disagrees with the table");
+  }
+  check(index_.size() == entries_.size(),
+        "exact-match index holds prefixes without an entry");
+  check(live_prefixes == num_prefixes_,
+        "num_prefixes_ disagrees with the table's live entry count");
+  check(candidate_total == num_routes_,
+        "num_routes_ disagrees with the table's candidate count");
+  // The cached order covers the ids that existed at the last visit.
+  std::vector<bool> seen(sorted_ids_.size(), false);
+  const Prefix* prev = nullptr;
+  for (const std::uint32_t id : sorted_ids_) {
+    const bool fresh = id < seen.size() && id < entries_.size() && !seen[id];
+    check(fresh && (prev == nullptr || *prev < entries_[id].prefix),
+          "cached address order is not a sorted permutation of entry ids");
+    if (!fresh) continue;
+    seen[id] = true;
+    prev = &entries_[id].prefix;
+  }
+  return ok;
 }
 
 }  // namespace iri::bgp

@@ -9,15 +9,12 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bgp/decision.h"
 #include "bgp/intern.h"
 #include "bgp/route.h"
 #include "netbase/probe_map.h"
-#include "netbase/radix_trie.h"
 #include "netbase/shard.h"
 #include "obs/profile.h"
 
@@ -29,10 +26,8 @@ struct RibChange {
   // best attributes, or loss of all routes).
   bool best_changed = false;
   // The new best route, or nullptr if the prefix is now unreachable. Points
-  // into the RIB's own storage: valid only until the next mutation of this
-  // Rib (the allocation-free replacement for the std::optional<Candidate>
-  // deep copy this used to be — Announce/Withdraw are the hottest calls in
-  // the full-paper-scale run).
+  // into the RIB's own storage, so it is valid only until the next mutation
+  // of this Rib: Announce/Withdraw are too hot to deep-copy a candidate.
   const Candidate* new_best = nullptr;
 };
 
@@ -47,7 +42,9 @@ class Rib {
   // used for the final decision tie-break.
   void AddPeer(PeerId peer, IPv4Address router_id);
 
-  bool HasPeer(PeerId peer) const { return peers_.contains(peer); }
+  bool HasPeer(PeerId peer) const {
+    return Slot(peer) < peers_.size() && peers_[Slot(peer)].registered;
+  }
 
   // Resolves the rib.announce / rib.withdraw / rib.lookup profile sites
   // against a (partition-private) registry. Null detaches.
@@ -78,8 +75,8 @@ class Rib {
   RibChange Withdraw(PeerId peer, const Prefix& prefix);
 
   // Drops every route learned from `peer` (session loss). Returns the
-  // prefixes whose best route changed; callers re-read Best() for the new
-  // state (every existing caller only needed the prefix list).
+  // prefixes whose best route changed, in address order; callers re-read
+  // Best() for the new state.
   std::vector<Prefix> ClearPeer(PeerId peer);
 
   // Current best route for `prefix`, or nullptr if unreachable.
@@ -90,7 +87,7 @@ class Rib {
   std::vector<Candidate> CandidatesFor(const Prefix& prefix) const;
 
   // Number of distinct prefixes with at least one path. (Withdrawn-to-empty
-  // entries linger in the trie as tombstones so a flap cycle reuses their
+  // entries linger in the table as tombstones so a flap cycle reuses their
   // storage; they are excluded here and skipped by every visitor.)
   std::size_t NumPrefixes() const { return num_prefixes_; }
 
@@ -98,56 +95,63 @@ class Rib {
   std::size_t NumRoutes() const { return num_routes_; }
 
   // Number of prefixes learned from `peer`.
-  std::size_t PeerRouteCount(PeerId peer) const;
+  std::size_t PeerRouteCount(PeerId peer) const {
+    return Slot(peer) < peers_.size() ? peers_[Slot(peer)].routes : 0;
+  }
 
   // The hash-consed AS-path table backing the decision fast path. Exposed
   // for tests and for the full-paper bench's memory report.
   const AsPathTable& paths() const { return paths_; }
 
-  // Full O(routes) structural audit of the Adj-RIB-In bookkeeping:
-  // num_routes_ equals both the per-peer index total and the table's
-  // candidate count, num_prefixes_ equals the live entry count, every live
-  // entry has a valid best index (tombstones have none), and no entry holds
-  // two routes from the same peer. Returns true when
-  // consistent (and IRI_ASSERTs each clause, so under the default abort
-  // policy a false return is unreachable). Called by tests and by debug
-  // builds after every ClearPeer.
+  // Full O(routes) structural audit: index ↔ entry id agreement, per-peer
+  // route counts and num_routes_/num_prefixes_ against the table, best
+  // indexes (tombstones have none), one route per peer per prefix, and the
+  // cached address order being a sorted permutation of the ids it covers.
+  // IRI_ASSERTs each clause, so under the default abort policy a false
+  // return is unreachable. Called by tests and, in debug builds, by ClearPeer.
   bool AuditInvariants() const;
 
-  // Visits (prefix, best candidate) over the whole Loc-RIB in address order.
+  // Visitors run in address order, Prefix's (bits, length), which puts a
+  // covering prefix first. They update a shared cached order, so one Rib
+  // must not be visited from two threads at once.
+
+  // Visits (prefix, best candidate) over the whole Loc-RIB.
   template <typename Fn>
   void VisitBest(Fn&& fn) const {
-    table_.Visit([&fn](const Prefix& p, const Entry& e) {
-      if (e.best >= 0) fn(p, e.candidates[static_cast<std::size_t>(e.best)]);
-    });
+    for (const std::uint32_t id : SortedIds()) {
+      const Entry& e = entries_[id];
+      if (e.best >= 0) fn(e.prefix, e.Best());
+    }
   }
 
   // Visits (prefix, number of distinct paths) — Figure 10's multihoming
   // census runs on this.
   template <typename Fn>
   void VisitPathCounts(Fn&& fn) const {
-    table_.Visit([&fn](const Prefix& p, const Entry& e) {
-      if (!e.candidates.empty()) fn(p, e.candidates.size());
-    });
+    for (const std::uint32_t id : SortedIds()) {
+      const Entry& e = entries_[id];
+      if (!e.candidates.empty()) fn(e.prefix, e.candidates.size());
+    }
   }
 
-  // VisitBest restricted to the prefixes `map` assigns to `shard`, still in
-  // address order. Running this for shards 0..N-1 visits exactly the
-  // prefixes VisitBest does, each once — the shard-coverage property the
-  // shard-merge test suite pins.
+  // VisitBest restricted to the prefixes `map` assigns to `shard`. Running
+  // this for shards 0..N-1 visits exactly the prefixes VisitBest does, each
+  // once — the shard-coverage property the shard-merge test suite pins.
   template <typename Fn>
   void VisitBestSharded(const ShardMap& map, int shard, Fn&& fn) const {
-    table_.Visit([&map, shard, &fn](const Prefix& p, const Entry& e) {
-      if (e.best >= 0 && map.ShardOf(p) == shard) {
-        fn(p, e.candidates[static_cast<std::size_t>(e.best)]);
-      }
+    VisitBest([&map, shard, &fn](const Prefix& p, const Candidate& best) {
+      if (map.ShardOf(p) == shard) fn(p, best);
     });
   }
 
  private:
   struct Entry {
+    Prefix prefix;
     std::vector<Candidate> candidates;
     int best = -1;  // index into candidates, -1 when empty
+    const Candidate& Best() const {
+      return candidates[static_cast<std::size_t>(best)];
+    }
     // Withdrawn candidates parked for reuse: their attribute buffers keep
     // their capacity, so the withdraw→announce flap cycle — the workload's
     // dominant pattern — recycles storage instead of churning the heap.
@@ -155,15 +159,26 @@ class Rib {
     std::vector<Candidate> pool;
   };
 
-  RadixTrie<Entry> table_;
-  // Exact-match accelerator over the trie: one flat probe instead of a
-  // length()-deep pointer chase, on every Announce/Withdraw/Best. Entry
-  // pointers are stable because entries are never erased (tombstones), and
-  // ProbeMap has no iteration API, so its slot order cannot reach any
-  // output. Address-order visitation stays on the trie.
-  ProbeMap<Prefix, Entry*> index_;
-  std::unordered_map<PeerId, IPv4Address> peers_;
-  std::unordered_map<PeerId, std::unordered_set<Prefix>> peer_prefixes_;
+  struct PeerState {
+    IPv4Address router_id;
+    std::size_t routes = 0;  // Adj-RIB-In size
+    bool registered = false;
+  };
+
+  // Dense peer slot: kLocalPeer (all ones) wraps to 0, peer p lands at p+1.
+  static std::size_t Slot(PeerId peer) { return PeerId{peer + 1}; }
+
+  // Entry ids in address order. Sorts and merges in only the ids appended
+  // since the last call: full-table dumps far outnumber new prefixes.
+  const std::vector<std::uint32_t>& SortedIds() const;
+
+  // Entries are appended on a prefix's first announcement and never erased
+  // (tombstones), so ids are stable. The index is probed only (no iteration
+  // API), so its slot order cannot reach any output.
+  std::vector<Entry> entries_;
+  ProbeMap<Prefix, std::uint32_t> index_;
+  mutable std::vector<std::uint32_t> sorted_ids_;
+  std::vector<PeerState> peers_;  // indexed by Slot(peer)
   AsPathTable paths_;
   std::size_t num_routes_ = 0;
   std::size_t num_prefixes_ = 0;  // live (non-tombstone) entries

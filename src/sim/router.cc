@@ -654,8 +654,8 @@ void Router::FullDump(bgp::PeerId id, obs::CauseTag cause) {
   if (config_.no_reexport) return;
   // A fresh session receives the entire Loc-RIB ("large state dump
   // transmissions" when a flapping session re-establishes). Batched walk:
-  // the trie visit hands us each best candidate directly, replacing the
-  // collect-then-lookup pass that searched the trie twice per prefix.
+  // the RIB visit hands us each best candidate directly, so no prefix is
+  // looked up again.
   IRI_TRACE(tracer_, sched_.Now(), "redump_start",
             .Str("session", PeerLabel(id)).U64("prefixes", rib_.NumPrefixes()));
   Peer& p = peers_[id];

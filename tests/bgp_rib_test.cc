@@ -122,6 +122,26 @@ TEST_F(RibTest, ClearPeerReportsOnlyBestChanges) {
   EXPECT_TRUE(changes.empty());
 }
 
+TEST_F(RibTest, ClearPeerReturnsChangesInAddressOrder) {
+  rib.Announce(1, R("192.0.0.0/8", {701}));
+  rib.Announce(1, R("10.1.0.0/16", {701}));
+  rib.Announce(2, R("10.0.0.0/8", {9}));  // peer 2 stays best for 10/8
+  rib.Announce(1, R("10.0.0.0/8", {701, 1239}));
+  // A visit between announcements: later prefixes must still slot into
+  // address order, not trail behind the ones seen before.
+  rib.VisitBest([](const Prefix&, const Candidate&) {});
+  rib.Announce(1, R("11.0.0.0/8", {701}));
+  rib.Announce(1, R("10.0.0.0/24", {701}));
+  rib.Announce(2, R("11.0.0.0/8", {1239, 3561}));
+  const std::vector<Prefix> want = {P("10.0.0.0/24"), P("10.1.0.0/16"),
+                                    P("11.0.0.0/8"), P("192.0.0.0/8")};
+  EXPECT_EQ(rib.ClearPeer(1), want);
+  EXPECT_EQ(rib.PeerRouteCount(1), 0u);
+  EXPECT_EQ(rib.PeerRouteCount(2), 2u);
+  EXPECT_EQ(rib.Best(P("11.0.0.0/8"))->peer, 2u);
+  EXPECT_TRUE(rib.AuditInvariants());
+}
+
 TEST_F(RibTest, PeerRouteCountTracksState) {
   rib.Announce(1, R("10.0.0.0/8", {701}));
   rib.Announce(1, R("11.0.0.0/8", {701}));

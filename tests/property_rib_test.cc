@@ -1,11 +1,16 @@
 // Randomized model-check of the Rib against a straightforward reference
 // implementation: after any sequence of announce/withdraw/clear operations,
 // the RIB's best route must equal SelectBest over the reference's candidate
-// set, and the reported change flags must be consistent.
+// set, the reported change flags must be consistent, and every address-order
+// output (VisitBest, VisitPathCounts, ClearPeer's changed list) must come out
+// in the reference std::map's Prefix order. Prefixes are nested and of mixed
+// lengths, so that order has to place covering prefixes before their
+// more-specifics.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "bgp/rib.h"
 #include "netbase/rng.h"
@@ -39,10 +44,15 @@ TEST_P(RibModelCheck, MatchesReferenceUnderRandomOps) {
     return candidates[static_cast<std::size_t>(SelectBest(candidates))];
   };
 
+  // /8../24 under two /8s, drawn from few enough bits that covering and
+  // more-specific prefixes of one another coexist in the table.
   auto random_prefix = [&rng] {
-    return Prefix(IPv4Address((10u << 24) |
-                              (static_cast<std::uint32_t>(rng.Below(24)) << 8)),
-                  24);
+    std::uint64_t bits = (10 + rng.Below(2)) << 24;
+    bits |= rng.Below(4) << 20;
+    bits |= rng.Below(4) << 12;
+    bits |= rng.Below(2) << 8;
+    const auto length = static_cast<std::uint8_t>(rng.Range(8, 24));
+    return Prefix(IPv4Address(static_cast<std::uint32_t>(bits)), length);
   };
   auto random_attrs = [&rng] {
     PathAttributes a;
@@ -93,7 +103,14 @@ TEST_P(RibModelCheck, MatchesReferenceUnderRandomOps) {
         break;
       }
       default: {  // session loss
-        rib.ClearPeer(peer);
+        // The best route changes exactly where the lost peer held it.
+        std::vector<Prefix> want_changed;
+        for (const auto& [p, peers] : model) {
+          if (peers.contains(peer) && reference_best(p)->peer == peer) {
+            want_changed.push_back(p);
+          }
+        }
+        EXPECT_EQ(rib.ClearPeer(peer), want_changed);
         for (auto it = model.begin(); it != model.end();) {
           it->second.erase(peer);
           it = it->second.empty() ? model.erase(it) : std::next(it);
@@ -116,6 +133,21 @@ TEST_P(RibModelCheck, MatchesReferenceUnderRandomOps) {
       }
       EXPECT_EQ(rib.NumPrefixes(), model.size());
       EXPECT_EQ(rib.NumRoutes(), model_routes);
+
+      std::vector<std::pair<Prefix, PeerId>> want_best, got_best;
+      std::vector<std::pair<Prefix, std::size_t>> want_counts, got_counts;
+      for (const auto& [p, peers] : model) {
+        want_best.emplace_back(p, reference_best(p)->peer);
+        want_counts.emplace_back(p, peers.size());
+      }
+      rib.VisitBest([&got_best](const Prefix& p, const Candidate& best) {
+        got_best.emplace_back(p, best.peer);
+      });
+      rib.VisitPathCounts([&got_counts](const Prefix& p, std::size_t n) {
+        got_counts.emplace_back(p, n);
+      });
+      EXPECT_EQ(got_best, want_best);
+      EXPECT_EQ(got_counts, want_counts);
       ASSERT_TRUE(rib.AuditInvariants());
     }
   }
