@@ -9,7 +9,8 @@
 // wall-clock and event volume to the full 270-day campaign.
 //
 // Emits BENCH_full_paper.json (shape: "metrics" list, see
-// tools/bench/compare.py) for comparison against the committed
+// tools/bench/compare.py: seconds_per_simday, updates_per_sec and the timed
+// run's peak_rss_mb) for comparison against the committed
 // bench/baseline/BENCH_full_paper.json. --ref-simday=SECONDS records a
 // pre-change reference wall-clock per simulated day measured on the same
 // machine, and the JSON then carries the speedup ratio against it.
@@ -23,8 +24,9 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench_common.h"
 #include "bench_json.h"
@@ -37,6 +39,14 @@ namespace {
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
   return std::chrono::duration<double>(elapsed).count();
+}
+
+// The process's peak resident set so far, in MB (ru_maxrss is in KiB on
+// Linux).
+double PeakRssMb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
 }  // namespace
@@ -94,6 +104,9 @@ int main(int argc, char** argv) {
   const workload::MultiExchangeResult result = runner.Run();
   const double seconds = SecondsSince(start);
   const std::string digest = result.Digest("full_paper");
+  // Read before the serial cross-check below, so the figure is the timed
+  // run's peak (result and digest included), not that of two runs.
+  const double peak_rss_mb = PeakRssMb();
 
   if (threads != 1 || shards != 1 || shard_threads != 1) {
     workload::MultiExchangeConfig serial_cfg = cfg;
@@ -124,6 +137,7 @@ int main(int argc, char** argv) {
   std::printf("%.2fs wall for %g simulated day(s): %.2fs/simday, "
               "%.0f updates/sec\n",
               seconds, flags.days, seconds_per_simday, updates_per_sec);
+  std::printf("peak_rss_mb %.1f\n", peak_rss_mb);
   std::printf("%llu messages, %llu prefix events (%.0f events/simday; the "
               "paper reports 3-6M/day across its collectors)\n",
               static_cast<unsigned long long>(result.total_messages),
@@ -194,6 +208,11 @@ int main(int argc, char** argv) {
       .Field("name", "updates_per_sec")
       .Field("value", updates_per_sec, 1)
       .Field("higher_is_better", true)
+      .EndObject();
+  json.BeginObject(nullptr, /*compact=*/true)
+      .Field("name", "peak_rss_mb")
+      .Field("value", peak_rss_mb, 1)
+      .Field("higher_is_better", false)
       .EndObject();
   json.EndArray();
   json.BeginObject("categories", /*compact=*/true);

@@ -57,27 +57,42 @@ int main(int argc, char** argv) {
 
   std::printf("collecting %.1f simulated hours at %d exchange(s)...\n", hours,
               cfg.scenario.num_exchanges);
+  const std::size_t num_exchanges =
+      static_cast<std::size_t>(cfg.scenario.num_exchanges);
   workload::MultiExchangeRunner runner(std::move(cfg));
+  // The runner keeps only a digest summary of each exchange's series JSONL;
+  // move the text itself out of every partition before it is torn down.
+  std::vector<std::string> series(num_exchanges);
+  runner.SetPartitionTeardown([&series](int e, workload::ExchangeScenario& s) {
+    series[static_cast<std::size_t>(e)] = s.series().TakeBuffer();
+  });
   // Non-const: the health summary below reads instruments through the
   // registry's get-or-create accessors.
   workload::MultiExchangeResult result = runner.Run();
 
-  // One merged file, per-exchange segments concatenated in exchange order.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
+  // Writes `segments` to `file_path` back to back, in exchange order.
+  auto write_segments = [](const std::string& file_path,
+                           const auto& segments) {
+    std::FILE* f = std::fopen(file_path.c_str(), "wb");
     if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return 1;
+      std::fprintf(stderr, "cannot write %s\n", file_path.c_str());
+      return false;
     }
-    if (!result.merged_mrt.empty() &&
-        std::fwrite(result.merged_mrt.data(), 1, result.merged_mrt.size(),
-                    f) != result.merged_mrt.size()) {
-      std::fprintf(stderr, "short write to %s\n", path.c_str());
-      std::fclose(f);
-      return 1;
+    for (const auto& segment : segments) {
+      if (!segment.empty() &&
+          std::fwrite(segment.data(), 1, segment.size(), f) !=
+              segment.size()) {
+        std::fprintf(stderr, "short write to %s\n", file_path.c_str());
+        std::fclose(f);
+        return false;
+      }
     }
     std::fclose(f);
-  }
+    return true;
+  };
+
+  // One merged file: the per-exchange segments in exchange order.
+  if (!write_segments(path, result.merged_mrt)) return 1;
   std::printf("wrote %zu MRT bytes (%llu messages, CRC32 0x%08X) to %s\n",
               result.merged_mrt.size(),
               static_cast<unsigned long long>(result.total_messages),
@@ -102,29 +117,16 @@ int main(int argc, char** argv) {
               result.metrics.SnapshotText().c_str());
 
   // --- streaming telemetry: the operator-facing series + health view ---
-  // Per-exchange JSONL segments concatenated in exchange order, same
+  // Per-exchange JSONL segments written in exchange order, same
   // determinism contract as the MRT bytes. Try:
   //   jq -r 'select(.series=="monitor.wwdup") | [.t_ns,.window] | @tsv'
   const std::string series_path = path + ".series.jsonl";
-  {
-    std::FILE* f = std::fopen(series_path.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", series_path.c_str());
-      return 1;
-    }
-    if (!result.merged_series.empty() &&
-        std::fwrite(result.merged_series.data(), 1,
-                    result.merged_series.size(),
-                    f) != result.merged_series.size()) {
-      std::fprintf(stderr, "short write to %s\n", series_path.c_str());
-      std::fclose(f);
-      return 1;
-    }
-    std::fclose(f);
-  }
+  if (!write_segments(series_path, series)) return 1;
+  std::size_t series_bytes = 0;
+  for (const std::string& segment : series) series_bytes += segment.size();
   std::printf("wrote %llu series records (%zu bytes) to %s\n",
               static_cast<unsigned long long>(result.total_series_records),
-              result.merged_series.size(), series_path.c_str());
+              series_bytes, series_path.c_str());
   std::printf(
       "instability health: %llu storm(s), %llu flap burst(s) (peak %lld "
       "events), periodicity score 30s=%lldppm 60s=%lldppm, %llu alert(s)\n",
@@ -168,7 +170,8 @@ int main(int argc, char** argv) {
   std::uint64_t replayed_messages = 0;
   core::CategoryCounts replayed;
   for (const auto& ex : result.exchanges) {
-    mrt::Reader reader(ex.mrt);
+    mrt::Reader reader(
+        result.merged_mrt.segment(static_cast<std::size_t>(ex.exchange)));
     core::ExchangeMonitor offline;
     obs::Registry offline_metrics;
     offline.AttachMetrics(&offline_metrics);

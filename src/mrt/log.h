@@ -27,6 +27,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bgp/message.h"
@@ -93,6 +94,9 @@ class Writer {
 
   // In-memory contents (empty for file-backed writers once flushed).
   const std::vector<std::uint8_t>& buffer() const { return buffer_; }
+  // Moves the in-memory contents out, leaving the buffer empty: hands the
+  // captured stream to its owner without copying it.
+  std::vector<std::uint8_t> TakeBuffer() { return std::exchange(buffer_, {}); }
 
   void Flush();
   void Close();

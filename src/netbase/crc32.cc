@@ -33,6 +33,43 @@ constexpr std::array<std::array<std::uint32_t, 256>, 8> MakeTables() {
 
 constexpr auto kTables = MakeTables();
 
+constexpr std::uint32_t kPoly = 0xEDB88320u;
+
+// a·b mod P in the reflected representation (bit 31 is x^0), as in zlib.
+constexpr std::uint32_t MultModP(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if (a & m) {
+      product ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    b = (b & 1) ? (b >> 1) ^ kPoly : b >> 1;
+  }
+  return product;
+}
+
+// kX2n[k] = x^(2^k) mod P, so x^n is a product of the entries for n's bits.
+constexpr std::array<std::uint32_t, 32> MakeX2nTable() {
+  std::array<std::uint32_t, 32> t{};
+  std::uint32_t p = 1u << 30;  // x^1
+  for (std::uint32_t& entry : t) {
+    entry = p;
+    p = MultModP(p, p);
+  }
+  return t;
+}
+
+constexpr auto kX2n = MakeX2nTable();
+
+// x^(n·2^k) mod P.
+std::uint32_t X2nModP(std::uint64_t n, unsigned k) {
+  std::uint32_t p = 1u << 31;  // x^0
+  for (; n != 0; n >>= 1, ++k) {
+    if (n & 1) p = MultModP(kX2n[k & 31], p);
+  }
+  return p;
+}
+
 }  // namespace
 
 std::uint32_t Crc32Update(std::uint32_t crc,
@@ -64,6 +101,12 @@ std::uint32_t Crc32Update(std::uint32_t crc,
 
 std::uint32_t Crc32(std::span<const std::uint8_t> data) {
   return Crc32Update(0, data);
+}
+
+std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::uint64_t len_b) {
+  // Shift by 8·len_b bits: n = len_b counted in units of 2^3.
+  return MultModP(X2nModP(len_b, 3), crc_a) ^ crc_b;
 }
 
 }  // namespace iri

@@ -1,6 +1,7 @@
 #include "netbase/ipv4.h"
 
 #include <charconv>
+#include <ostream>
 
 namespace iri {
 namespace {
@@ -57,6 +58,10 @@ std::optional<Prefix> Prefix::Parse(std::string_view text) {
 
 std::string Prefix::ToString() const {
   return address().ToString() + "/" + std::to_string(length_);
+}
+
+std::ostream& operator<<(std::ostream& os, const Prefix& prefix) {
+  return os << prefix.ToString();
 }
 
 }  // namespace iri

@@ -11,6 +11,7 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -101,6 +102,10 @@ class Prefix {
   std::uint32_t bits_ = 0;
   std::uint8_t length_ = 0;
 };
+
+// Streams ToString() ("11.0.0.0/8"). Also what gtest prints for a Prefix in
+// a failed assertion, instead of the object's raw bytes (padding included).
+std::ostream& operator<<(std::ostream& os, const Prefix& prefix);
 
 }  // namespace iri
 

@@ -13,10 +13,10 @@
 //   * every flush drains instruments in name order (std::map), one record
 //     per instrument, stamped with simulated time;
 //   * the flusher is single-partition state (one per ExchangeScenario); the
-//     multi-exchange runner concatenates per-partition record buffers in
-//     fixed exchange order, so merged bytes are identical at any worker
-//     thread count (locked by tests/golden_run_test.cc via the digest's
-//     timeseries section).
+//     multi-exchange runner digests each partition's buffer on its worker
+//     and combines the CRCs in fixed exchange order, so the digest equals
+//     that of the buffers back to back at any worker thread count (locked
+//     by tests/golden_run_test.cc via the digest's timeseries section).
 //
 // EWMA values are doubles formatted with a fixed "%.6f"; the arithmetic is
 // a fixed sequence of IEEE-754 operations per partition, so the formatted
@@ -28,6 +28,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/invariants.h"
@@ -111,7 +112,7 @@ class WindowedHistogram {
 //   {"t_ns":<ns>,"series":"<name>","count":<n>,"sum":<n>,"buckets":[...]}
 //
 // Ownership discipline matches Registry/Tracer: single-partition, never
-// shared across workers, per-partition buffers concatenated in fixed
+// shared across workers, per-partition summaries combined in fixed
 // exchange order after the join.
 class SeriesFlusher {
  public:
@@ -137,6 +138,9 @@ class SeriesFlusher {
 
   // The buffered JSONL text (complete lines, "\n"-terminated).
   const std::string& buffer() const { return buffer_; }
+  // Moves the buffered text out (no copy), leaving the buffer empty;
+  // records() and flushes() keep counting from where they were.
+  std::string TakeBuffer() { return std::exchange(buffer_, {}); }
   std::uint64_t records() const { return records_; }
   std::uint64_t flushes() const { return flushes_; }
 

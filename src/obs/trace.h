@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "netbase/time.h"
 
@@ -44,6 +45,8 @@ class Tracer {
 
   // The buffered JSONL text (complete lines, each "\n"-terminated).
   const std::string& buffer() const { return buffer_; }
+  // Moves the buffered text out (no copy), leaving the buffer empty.
+  std::string TakeBuffer() { return std::exchange(buffer_, {}); }
   std::uint64_t events() const { return events_; }
 
   // Appends `other`'s buffer verbatim. Callers merge partitions in fixed

@@ -14,7 +14,11 @@
 namespace iri::workload {
 
 std::uint32_t MultiExchangeResult::MrtCrc32() const {
-  return Crc32(merged_mrt);
+  std::uint32_t crc = 0;
+  for (const MrtSegments::Segment& segment : merged_mrt) {
+    crc = Crc32Update(crc, segment);
+  }
+  return crc;
 }
 
 std::string MultiExchangeResult::Digest(
@@ -51,17 +55,22 @@ std::string MultiExchangeResult::Digest(
   // Series telemetry summary: the full JSONL is too large to commit, so the
   // digest pins its record count, byte count and CRC — one flipped byte in
   // any flush record (ordering, formatting, values) fails the comparison.
-  // A run with telemetry disabled (series_flush_interval zero, or capture
-  // off) omits the section entirely, so its digest is byte-identical to a
-  // build that never had the subsystem.
-  if (total_series_records != 0 || !merged_series.empty()) {
+  // Each partition summarized its own text; the CRCs combine in exchange
+  // order into the CRC of the texts back to back. A run with telemetry
+  // disabled (series_flush_interval zero) has no records and omits the
+  // section entirely, so its digest is byte-identical to a build that never
+  // had the subsystem.
+  if (total_series_records != 0) {
+    std::uint64_t bytes = 0;
+    std::uint32_t crc = 0;
+    for (const ExchangeRun& run : exchanges) {
+      crc = Crc32Combine(crc, run.series_crc32, run.series_bytes);
+      bytes += run.series_bytes;
+    }
     out += "timeseries.begin\n";
     add("records", total_series_records);
-    add("bytes", merged_series.size());
-    std::snprintf(line, sizeof(line), "crc32=0x%08X\n",
-                  Crc32({reinterpret_cast<const std::uint8_t*>(
-                             merged_series.data()),
-                         merged_series.size()}));
+    add("bytes", bytes);
+    std::snprintf(line, sizeof(line), "crc32=0x%08X\n", crc);
     out += line;
     out += "timeseries.end\n";
   }
@@ -112,6 +121,7 @@ MultiExchangeResult MultiExchangeRunner::Run() {
       config_.scenario.topology, config_.scenario.duration);
 
   std::vector<ExchangeRun> runs(static_cast<std::size_t>(k));
+  std::vector<MrtSegments::Segment> mrt_segments(static_cast<std::size_t>(k));
   sim::ParallelFor(k, config_.threads, [&](int e) {
     const ScenarioConfig part = PartitionConfig(config_.scenario, e);
     ExchangeScenario scenario(part, universe);
@@ -131,32 +141,35 @@ MultiExchangeResult MultiExchangeRunner::Run() {
     run.messages = scenario.monitor().messages_seen();
     run.events = scenario.monitor().events_seen();
     run.tasks_executed = scenario.scheduler().executed();
-    run.mrt = writer.buffer();
+    // The stream moves into slot e; it is the only copy the result holds.
+    mrt_segments[static_cast<std::size_t>(e)] = writer.TakeBuffer();
     // Copy the partition's registry out before the scenario (and the cached
     // instrument pointers inside it) is destroyed. Runs on the worker that
     // owns this exchange, touching only this partition's slot.
     run.metrics.Merge(scenario.metrics());
-    if (config_.capture_trace) run.trace = scenario.trace().buffer();
-    if (config_.capture_series) {
-      run.series = scenario.series().buffer();
-      run.series_records = scenario.series().records();
-    }
+    if (config_.capture_trace) run.trace = scenario.trace().TakeBuffer();
+    // Fold the series text into its digest summary; the text goes with the
+    // scenario.
+    const std::string& series = scenario.series().buffer();
+    run.series_records = scenario.series().records();
+    run.series_bytes = series.size();
+    run.series_crc32 = Crc32(
+        {reinterpret_cast<const std::uint8_t*>(series.data()), series.size()});
     if constexpr (obs::kProvenanceEnabled) {
       scenario.monitor().classifier().MergeProvenanceInto(
           run.attribution.observed);
       run.attribution.causes = scenario.provenance().infos();
     }
+    if (teardown_) teardown_(e, scenario);
   });
 
   // The merge happens on the calling thread, in exchange order, after every
   // worker has joined — output bytes cannot depend on interleaving.
   MultiExchangeResult result;
   result.exchanges = std::move(runs);
-  std::size_t mrt_bytes = 0;
-  for (const ExchangeRun& run : result.exchanges) {
-    mrt_bytes += run.mrt.size();
+  for (MrtSegments::Segment& segment : mrt_segments) {
+    result.merged_mrt.Append(std::move(segment));
   }
-  result.merged_mrt.reserve(mrt_bytes);
   for (const ExchangeRun& run : result.exchanges) {
     IRI_ASSERT(run.events == run.counts.Total(),
                "per-exchange sink and monitor must agree on event count");
@@ -164,11 +177,8 @@ MultiExchangeResult MultiExchangeRunner::Run() {
     for (std::size_t c = 0; c < core::kNumCategories; ++c) {
       result.combined_classifier_totals[c] += run.classifier_totals[c];
     }
-    result.merged_mrt.insert(result.merged_mrt.end(), run.mrt.begin(),
-                             run.mrt.end());
     result.metrics.Merge(run.metrics);
     result.merged_trace += run.trace;
-    result.merged_series += run.series;
     result.total_series_records += run.series_records;
     result.total_messages += run.messages;
     result.total_events += run.events;

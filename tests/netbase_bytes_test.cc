@@ -99,6 +99,43 @@ TEST(Crc32, StreamingMatchesOneShot) {
   EXPECT_EQ(streamed, oneshot);
 }
 
+TEST(Crc32, CombineMatchesConcatenation) {
+  // Random buffers (lengths 0..4096, skewed small so short and empty halves
+  // are common) split at random points, empty halves included: the CRC
+  // combined from the halves' CRCs must equal the CRC of the whole.
+  Rng rng(20240601);
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t n = trial % 4 == 0 ? rng.Below(4097) : rng.Below(64);
+    std::vector<std::uint8_t> data(n);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.Below(256));
+    std::size_t split = rng.Below(n + 1);
+    if (trial % 10 == 1) split = 0;
+    if (trial % 10 == 2) split = n;
+    const std::span<const std::uint8_t> all(data);
+    const auto a = all.first(split);
+    const auto b = all.subspan(split);
+    EXPECT_EQ(Crc32Combine(Crc32(a), Crc32(b), b.size()), Crc32(all))
+        << "n=" << n << " split=" << split;
+  }
+}
+
+TEST(Crc32, CombineFoldsManySegmentsInOrder) {
+  // The digest's use: left-fold per-segment (crc, len) pairs, starting from
+  // the empty stream's CRC (0).
+  std::vector<std::uint8_t> data(10000);
+  Rng rng(11);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.Below(256));
+  std::uint32_t folded = 0;
+  std::size_t at = 0;
+  for (std::size_t len : {0u, 1u, 999u, 0u, 4096u, 7u, 4897u}) {
+    const auto seg = std::span<const std::uint8_t>(data).subspan(at, len);
+    folded = Crc32Combine(folded, Crc32(seg), seg.size());
+    at += len;
+  }
+  ASSERT_EQ(at, data.size());
+  EXPECT_EQ(folded, Crc32(data));
+}
+
 TEST(Crc32, DetectsSingleBitFlip) {
   std::vector<std::uint8_t> data(64, 0x5A);
   const std::uint32_t before = Crc32(data);

@@ -114,6 +114,12 @@ TEST(Prefix, OrderingIsTotal) {
   EXPECT_EQ(set.size(), 2u);
 }
 
+TEST(Prefix, GtestPrintsTheTextForm) {
+  // Failed assertions name the prefix, not its raw (padded) object bytes.
+  EXPECT_EQ(::testing::PrintToString(*Prefix::Parse("11.0.0.0/8")),
+            "11.0.0.0/8");
+}
+
 TEST(Prefix, HashDistinguishesLengths) {
   std::unordered_set<Prefix> set;
   set.insert(*Prefix::Parse("10.0.0.0/8"));

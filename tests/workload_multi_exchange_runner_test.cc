@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "mrt/log.h"
+#include "netbase/crc32.h"
 #include "workload/scenario.h"
 
 namespace iri::workload {
@@ -62,7 +65,7 @@ TEST(MultiExchangeRunner, ThreadCountDoesNotChangeAnyByte) {
               serial.combined_classifier_totals);
     EXPECT_EQ(parallel.Digest("t"), serial.Digest("t"));
     for (std::size_t e = 0; e < serial.exchanges.size(); ++e) {
-      EXPECT_EQ(parallel.exchanges[e].mrt, serial.exchanges[e].mrt)
+      EXPECT_EQ(parallel.merged_mrt.segment(e), serial.merged_mrt.segment(e))
           << "exchange " << e << " threads=" << threads;
       EXPECT_EQ(parallel.exchanges[e].tasks_executed,
                 serial.exchanges[e].tasks_executed);
@@ -73,28 +76,54 @@ TEST(MultiExchangeRunner, ThreadCountDoesNotChangeAnyByte) {
 TEST(MultiExchangeRunner, MergePreservesFixedExchangeOrder) {
   const MultiExchangeResult result = MultiExchangeRunner(SmallConfig(3)).Run();
   ASSERT_EQ(result.exchanges.size(), 3u);
-  // The merged stream is the per-exchange streams concatenated in index
-  // order — verify by re-assembling it by hand.
+  ASSERT_EQ(result.merged_mrt.segment_count(), 3u);
+  // The merged stream is the per-exchange segments back to back in index
+  // order — verify by re-assembling it by hand: its size and its CRC must
+  // be those of the concatenation.
   std::vector<std::uint8_t> reassembled;
   std::uint64_t events = 0;
   for (std::size_t e = 0; e < 3; ++e) {
     EXPECT_EQ(result.exchanges[e].exchange, static_cast<int>(e));
     EXPECT_EQ(result.exchanges[e].sub_seed, ExchangeSubSeed(4, static_cast<int>(e)));
     EXPECT_GT(result.exchanges[e].events, 0u);
-    reassembled.insert(reassembled.end(), result.exchanges[e].mrt.begin(),
-                       result.exchanges[e].mrt.end());
+    const auto& segment = result.merged_mrt.segment(e);
+    EXPECT_FALSE(segment.empty()) << "exchange " << e;
+    reassembled.insert(reassembled.end(), segment.begin(), segment.end());
     events += result.exchanges[e].events;
   }
-  EXPECT_EQ(result.merged_mrt, reassembled);
+  EXPECT_EQ(result.merged_mrt.size(), reassembled.size());
+  EXPECT_EQ(result.MrtCrc32(), Crc32(reassembled));
   EXPECT_EQ(result.total_events, events);
   EXPECT_EQ(result.combined.Total(), events);
+}
+
+TEST(MultiExchangeRunner, SeriesDigestMatchesTheScenarioText) {
+  // One exchange: the digest's timeseries bytes and CRC, folded from the
+  // partition's summary, must be those of the flusher's text when the same
+  // partition runs directly.
+  const MultiExchangeConfig cfg = SmallConfig(1);
+  const MultiExchangeResult result = MultiExchangeRunner(cfg).Run();
+
+  ExchangeScenario scenario(PartitionConfig(cfg.scenario, 0));
+  scenario.Run();
+  const std::string& text = scenario.series().buffer();
+  ASSERT_FALSE(text.empty());
+
+  char expect[64];
+  std::snprintf(expect, sizeof(expect), "bytes=%zu\ncrc32=0x%08X\n",
+                text.size(),
+                Crc32({reinterpret_cast<const std::uint8_t*>(text.data()),
+                       text.size()}));
+  const std::string digest = result.Digest("one");
+  EXPECT_NE(digest.find(expect), std::string::npos) << digest;
+  EXPECT_EQ(result.total_series_records, scenario.series().records());
 }
 
 TEST(MultiExchangeRunner, PartitionsAreDecorrelatedButSameUniverse) {
   const MultiExchangeResult result = MultiExchangeRunner(SmallConfig(2)).Run();
   ASSERT_EQ(result.exchanges.size(), 2u);
   // Different sub-seeds ⇒ different event streams...
-  EXPECT_NE(result.exchanges[0].mrt, result.exchanges[1].mrt);
+  EXPECT_NE(result.merged_mrt.segment(0), result.merged_mrt.segment(1));
   // ...over the same universe, so volumes stay statistically aligned.
   const double e0 = static_cast<double>(result.exchanges[0].events);
   const double e1 = static_cast<double>(result.exchanges[1].events);
@@ -120,12 +149,36 @@ TEST(MultiExchangeRunner, PartitionSetupSeesEveryExchangeOnce) {
   }
 }
 
+TEST(MultiExchangeRunner, PartitionTeardownSeesEachFinishedScenarioOnce) {
+  // The teardown hook runs after the partition has run and after the
+  // runner folded its series summary, so moving the text out there leaves
+  // the summary intact.
+  MultiExchangeRunner runner(SmallConfig(3));
+  std::vector<std::uint64_t> events(3, 0);
+  std::vector<std::string> series(3);
+  runner.SetPartitionTeardown([&](int e, ExchangeScenario& scenario) {
+    const auto i = static_cast<std::size_t>(e);
+    events[i] += scenario.monitor().events_seen();
+    series[i] = scenario.series().TakeBuffer();
+  });
+  const MultiExchangeResult result = runner.Run();
+  for (std::size_t e = 0; e < 3; ++e) {
+    const ExchangeRun& run = result.exchanges[e];
+    EXPECT_EQ(events[e], run.events);
+    EXPECT_EQ(series[e].size(), run.series_bytes);
+    EXPECT_EQ(Crc32({reinterpret_cast<const std::uint8_t*>(series[e].data()),
+                     series[e].size()}),
+              run.series_crc32);
+  }
+}
+
 TEST(MultiExchangeRunner, MrtSegmentsReplayToTheSameClassification) {
   // The offline path: each exchange's MRT segment replayed through a fresh
   // monitor must reproduce that exchange's live classifier bins exactly.
   const MultiExchangeResult result = MultiExchangeRunner(SmallConfig(2)).Run();
   for (const ExchangeRun& run : result.exchanges) {
-    mrt::Reader reader(run.mrt);
+    mrt::Reader reader(
+        result.merged_mrt.segment(static_cast<std::size_t>(run.exchange)));
     core::ExchangeMonitor offline;
     const std::uint64_t replayed = offline.Replay(reader);
     EXPECT_EQ(replayed, run.messages) << "exchange " << run.exchange;
@@ -142,6 +195,7 @@ TEST(MultiExchangeRunner, CaptureMrtOffLeavesStreamEmptyButStatsIntact) {
   const MultiExchangeResult a = MultiExchangeRunner(std::move(with)).Run();
   const MultiExchangeResult b = MultiExchangeRunner(std::move(without)).Run();
   EXPECT_TRUE(b.merged_mrt.empty());
+  EXPECT_EQ(b.MrtCrc32(), 0u);
   EXPECT_GT(a.merged_mrt.size(), 0u);
   EXPECT_EQ(a.combined_classifier_totals, b.combined_classifier_totals)
       << "MRT capture must not perturb the simulation";

@@ -141,21 +141,14 @@ TEST(Provenance, DisabledSeriesOmitsTimeseriesDigestSection) {
   cfg.scenario.duration = Duration::Minutes(30);
   cfg.scenario.series_flush_interval = Duration();  // disables telemetry
 
-  MultiExchangeConfig no_capture = cfg;
-  no_capture.capture_series = false;
-
-  MultiExchangeRunner with_capture_runner(std::move(cfg));
-  MultiExchangeRunner no_capture_runner(std::move(no_capture));
-  const std::string with_capture =
-      with_capture_runner.Run().Digest("series_off");
-  const std::string without_capture =
-      no_capture_runner.Run().Digest("series_off");
+  MultiExchangeRunner runner(std::move(cfg));
+  const MultiExchangeResult result = runner.Run();
 
   // A disabled flush interval produces zero records, so the digest must not
-  // carry an empty timeseries section — and must be byte-identical to a run
-  // where the capture plumbing was never wired at all.
-  EXPECT_EQ(with_capture.find("timeseries.begin"), std::string::npos);
-  EXPECT_EQ(with_capture, without_capture);
+  // carry an empty timeseries section.
+  EXPECT_EQ(result.total_series_records, 0u);
+  EXPECT_EQ(result.Digest("series_off").find("timeseries.begin"),
+            std::string::npos);
 }
 
 TEST(Provenance, TraceBuffersFollowTraceCompileSetting) {
@@ -186,7 +179,7 @@ TEST(Provenance, OfflineReplayIsFullyUnattributed) {
   // Replay the first exchange's MRT segment: the wire format carries no
   // cause bytes (mrt_crc32 pins that), so the offline classifier sees only
   // null tags.
-  mrt::Reader reader(result.exchanges[0].mrt);
+  mrt::Reader reader(result.merged_mrt.segment(0));
   core::ExchangeMonitor offline;
   offline.Replay(reader);
   obs::ShardProvenance prov;
