@@ -15,11 +15,9 @@
 // pre-change reference wall-clock per simulated day measured on the same
 // machine, and the JSON then carries the speedup ratio against it.
 //
-// Determinism: the timed run honours --threads / --shards / --shard-threads
-// (the intra-exchange sharding knobs of DESIGN.md §13), and whenever any of
-// them departs from 1 the digest is asserted against a serial unsharded
-// run — a timing number from a configuration-dependent computation would be
-// meaningless.
+// Determinism: the timed run honours --threads, and whenever it departs
+// from 1 the digest is asserted against a serial run — a timing number from
+// a configuration-dependent computation would be meaningless.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -58,8 +56,6 @@ int main(int argc, char** argv) {
                                    /*providers=*/16);
   std::string out_path = "BENCH_full_paper.json";
   int threads = 1;
-  int shards = 1;
-  int shard_threads = 1;
   double ref_simday = 0;
   bool nine_months = false;
   bool attribution = false;
@@ -74,12 +70,6 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       threads = std::atoi(argv[i] + 10);
     }
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = std::atoi(argv[i] + 9);
-    }
-    if (std::strncmp(argv[i], "--shard-threads=", 16) == 0) {
-      shard_threads = std::atoi(argv[i] + 16);
-    }
     if (std::strncmp(argv[i], "--ref-simday=", 13) == 0) {
       ref_simday = std::atof(argv[i] + 13);
     }
@@ -90,8 +80,6 @@ int main(int argc, char** argv) {
   workload::MultiExchangeConfig cfg;
   cfg.scenario = flags.ToScenarioConfig();
   cfg.scenario.num_exchanges = 5;
-  cfg.scenario.shards = shards;
-  cfg.scenario.shard_threads = shard_threads;
   cfg.threads = threads;
 
   const int prefixes = static_cast<int>(
@@ -108,22 +96,18 @@ int main(int argc, char** argv) {
   // run's peak (result and digest included), not that of two runs.
   const double peak_rss_mb = PeakRssMb();
 
-  if (threads != 1 || shards != 1 || shard_threads != 1) {
+  if (threads != 1) {
     workload::MultiExchangeConfig serial_cfg = cfg;
     serial_cfg.threads = 1;
-    serial_cfg.scenario.shards = 1;
-    serial_cfg.scenario.shard_threads = 1;
     workload::MultiExchangeRunner serial_runner(std::move(serial_cfg));
     if (serial_runner.Run().Digest("full_paper") != digest) {
       std::fprintf(stderr,
-                   "FATAL: (threads=%d shards=%d shard_threads=%d) produced "
-                   "a different digest than the serial unsharded run — "
-                   "determinism broken\n",
-                   threads, shards, shard_threads);
+                   "FATAL: threads=%d produced a different digest than the "
+                   "serial run — determinism broken\n",
+                   threads);
       return 1;
     }
-    std::printf("digest stable at threads=%d shards=%d shard_threads=%d\n",
-                threads, shards, shard_threads);
+    std::printf("digest stable at threads=%d\n", threads);
   }
 
   const double seconds_per_simday = seconds / flags.days;
@@ -193,8 +177,6 @@ int main(int argc, char** argv) {
       .Field("providers", flags.providers)
       .Field("seed", flags.seed)
       .Field("threads", threads)
-      .Field("shards", shards)
-      .Field("shard_threads", shard_threads)
       .Field("messages", result.total_messages)
       .Field("events", result.total_events)
       .Field("seconds", seconds, 2);

@@ -15,7 +15,6 @@
 #include "bgp/intern.h"
 #include "bgp/route.h"
 #include "netbase/probe_map.h"
-#include "netbase/shard.h"
 #include "obs/profile.h"
 
 namespace iri::bgp {
@@ -132,16 +131,6 @@ class Rib {
       const Entry& e = entries_[id];
       if (!e.candidates.empty()) fn(e.prefix, e.candidates.size());
     }
-  }
-
-  // VisitBest restricted to the prefixes `map` assigns to `shard`. Running
-  // this for shards 0..N-1 visits exactly the prefixes VisitBest does, each
-  // once — the shard-coverage property the shard-merge test suite pins.
-  template <typename Fn>
-  void VisitBestSharded(const ShardMap& map, int shard, Fn&& fn) const {
-    VisitBest([&map, shard, &fn](const Prefix& p, const Candidate& best) {
-      if (map.ShardOf(p) == shard) fn(p, best);
-    });
   }
 
  private:

@@ -25,15 +25,10 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <span>
-#include <string>
-#include <vector>
 
 #include "bgp/intern.h"
 #include "core/event.h"
 #include "netbase/probe_map.h"
-#include "netbase/shard.h"
 #include "obs/provenance.h"
 
 namespace iri::core {
@@ -71,11 +66,10 @@ struct ClassifiedEvent {
   bool policy_fluctuation = false;
 };
 
-// The event-free half of a classification: what ClassifyInto decides before
-// it copies the event. The sharded batch pipeline classifies a whole batch
-// into an array of these (2 bytes each), then re-joins verdicts with their
-// events in arrival order.
-struct ShardVerdict {
+// The event-free half of a classification: what Classify decides about an
+// event, without the event. The monitor's hot loop takes only this, so no
+// event is copied.
+struct Verdict {
   Category category = Category::kInitial;
   bool policy_fluctuation = false;
 };
@@ -93,14 +87,9 @@ class Classifier {
   // Classifies `ev` against the per-route state and updates that state.
   ClassifiedEvent Classify(UpdateEvent ev);
 
-  // Recycling variant for the monitor's hot loop: writes into `out`
-  // (copy-assigning the event, so out's attribute buffers keep their
-  // capacity across calls) instead of building a fresh ClassifiedEvent.
-  void ClassifyInto(const UpdateEvent& ev, ClassifiedEvent& out);
-
   // Verdict-only variant: identical state/total updates, no event copy.
-  // This is what each shard runs over its slice of a pending batch.
-  ShardVerdict ClassifyVerdict(const UpdateEvent& ev);
+  // This is what the monitor runs on every exploded event.
+  Verdict ClassifyVerdict(const UpdateEvent& ev);
 
   // Number of (Prefix, peer) routes with live state.
   std::size_t TrackedRoutes() const { return state_.size(); }
@@ -119,7 +108,7 @@ class Classifier {
     state_.Clear();
     totals_.fill(0);
     events_ = 0;
-    prov_ = obs::ShardProvenance{};
+    prov_ = obs::AttributionMatrix{};
     // attrs_ is deliberately retained: it is a pure value cache (ids are
     // only compared against ids from the same table), and the same streams
     // tend to recur across resets.
@@ -131,9 +120,9 @@ class Classifier {
 
   // Attribution aggregate: pathology class x root cause kind x hop depth,
   // fed at verdict time from each event's provenance tag. Empty when
-  // provenance is compiled out. Category indices fit ShardProvenance's
+  // provenance is compiled out. Category indices fit AttributionMatrix's
   // class axis (kNumCategories <= kMaxClasses, checked below).
-  const obs::ShardProvenance& provenance() const { return prov_; }
+  const obs::AttributionMatrix& provenance() const { return prov_; }
 
  private:
   enum class RouteStatus : std::uint8_t { kAnnounced, kWithdrawn };
@@ -169,79 +158,8 @@ class Classifier {
   bgp::AttrSetId default_attr_id_;
   std::array<std::uint64_t, kNumCategories> totals_{};
   std::uint64_t events_ = 0;
-  static_assert(kNumCategories <= obs::ShardProvenance::kMaxClasses);
-  obs::ShardProvenance prov_;
-};
-
-// N Classifiers behind a stable prefix->shard map (netbase/shard.h).
-//
-// Correctness argument (DESIGN.md §13): every (Prefix, peer) key maps to
-// exactly one shard, so that key's per-route state machine sees exactly the
-// event stream it would have seen unsharded, in arrival order. Category
-// verdicts are pure functions of per-key state and the event value (the
-// interned attribute ids are shard-local but only ever compared by value
-// through the shard's own table), so each event's verdict is identical at
-// any shard count. Aggregates (totals, tracked routes, event counts) are
-// sums over disjoint key sets, always accumulated in fixed shard order
-// 0..N-1 — byte-identical output at any (threads x shards) combination,
-// pinned by the golden matrix in tests/golden_run_test.cc and the
-// shard-merge property suite.
-//
-// ClassifyBatch fans a pending batch over the shards via sim::ParallelFor
-// (the repo's only threading primitive). Each worker touches only its own
-// shard's Classifier and its own events' verdict slots, so the partitions
-// are disjoint by construction (the CI TSan leg runs the golden matrix to
-// prove it).
-class ShardedClassifier {
- public:
-  explicit ShardedClassifier(int num_shards = 1);
-
-  int num_shards() const { return map_.num_shards(); }
-  const ShardMap& map() const { return map_; }
-
-  // Reconfigures the shard count. Only legal while no events have been
-  // classified (the monitor configures sharding at scenario build time).
-  void Configure(int num_shards);
-
-  // Serial single-event path (offline replay, tests): routes `ev` to its
-  // owning shard. Identical verdicts to the batch path.
-  void ClassifyInto(const UpdateEvent& ev, ClassifiedEvent& out);
-
-  // Classifies events[i] -> verdicts[i] for the whole batch, fanning the
-  // shards across `threads` workers (1 = inline serial). Within a shard,
-  // events are processed in batch (= arrival) order.
-  void ClassifyBatch(std::span<const UpdateEvent> events,
-                     std::span<ShardVerdict> verdicts, int threads);
-
-  // Per-shard event counts of the most recent ClassifyBatch call — the
-  // bench's per-shard queue-depth signal. Index == shard.
-  const std::vector<std::uint64_t>& last_batch_shard_counts() const {
-    return last_batch_counts_;
-  }
-
-  // Aggregates, summed in fixed shard order.
-  const std::array<std::uint64_t, kNumCategories>& totals() const;
-  std::uint64_t total_events() const;
-  std::size_t TrackedRoutes() const;
-
-  // Sums the per-shard attribution aggregates into `out` in fixed shard
-  // order 0..N-1 (ShardProvenance::Merge is an iri_det aggregation sink —
-  // same contract as totals()).
-  void MergeProvenanceInto(obs::ShardProvenance& out) const;
-
-  // Shard access for tests and the memory report.
-  const Classifier& shard(int i) const {
-    return *shards_[static_cast<std::size_t>(i)];
-  }
-
-  void Reset();
-
- private:
-  ShardMap map_;
-  std::vector<std::unique_ptr<Classifier>> shards_;
-  std::vector<std::uint8_t> shard_of_;  // per-batch scratch: event -> shard
-  std::vector<std::uint64_t> last_batch_counts_;
-  mutable std::array<std::uint64_t, kNumCategories> totals_cache_{};
+  static_assert(kNumCategories <= obs::AttributionMatrix::kMaxClasses);
+  obs::AttributionMatrix prov_;
 };
 
 }  // namespace iri::core

@@ -32,27 +32,23 @@ struct UpdateEvent {
 
 // Like ExplodeUpdate below, but recycles `out`'s elements — and their
 // attribute buffer capacity — instead of destroying and re-creating them.
-// `out` only ever grows; elements [start, start + n) of the returned n are
-// valid. This is the monitor's per-message hot path: at full paper scale it
-// runs hundreds of thousands of times per simulated day, and buffer reuse
-// makes the steady state allocation-free. `start` lets the sharded
-// classification pipeline explode straight into its pending batch buffer
-// (appending after the events already queued) with the same recycling.
+// `out` only ever grows; the first n elements, n returned, are valid. This
+// is the monitor's per-message hot path: at full paper scale it runs
+// hundreds of thousands of times per simulated day, and buffer reuse makes
+// the steady state allocation-free.
 inline std::size_t ExplodeUpdateReuse(TimePoint now, bgp::PeerId peer,
                                       bgp::Asn peer_asn,
                                       const bgp::UpdateMessage& update,
                                       std::vector<UpdateEvent>& out,
-                                      std::size_t start = 0,
                                       const obs::CauseVec& causes = {}) {
   static const bgp::PathAttributes kEmptyAttrs;
   const std::size_t total = update.withdrawn.size() + update.nlri.size();
-  if (out.size() < start + total) out.resize(start + total);
-  std::size_t n = start;
+  if (out.size() < total) out.resize(total);
+  std::size_t n = 0;
   // The cause sideband indexes wire event order: withdrawn, then NLRI —
-  // exactly the order this loop pair emits.
-  std::size_t ci = 0;
+  // exactly the order this loop pair emits, so event n takes causes[n].
   for (const Prefix& w : update.withdrawn) {
-    UpdateEvent& ev = out[n++];
+    UpdateEvent& ev = out[n];
     ev.time = now;
     ev.peer = peer;
     ev.peer_asn = peer_asn;
@@ -61,21 +57,21 @@ inline std::size_t ExplodeUpdateReuse(TimePoint now, bgp::PeerId peer,
     // Copy-assign from the shared empty set (not a fresh temporary) so the
     // slot's buffer capacity survives for the next announce to land in.
     ev.attributes = kEmptyAttrs;
-    ev.cause = ci < causes.size() ? causes[ci] : obs::CauseTag{};
-    ++ci;
+    ev.cause = n < causes.size() ? causes[n] : obs::CauseTag{};
+    ++n;
   }
   for (const Prefix& p : update.nlri) {
-    UpdateEvent& ev = out[n++];
+    UpdateEvent& ev = out[n];
     ev.time = now;
     ev.peer = peer;
     ev.peer_asn = peer_asn;
     ev.is_withdraw = false;
     ev.prefix = p;
     ev.attributes = update.attributes;
-    ev.cause = ci < causes.size() ? causes[ci] : obs::CauseTag{};
-    ++ci;
+    ev.cause = n < causes.size() ? causes[n] : obs::CauseTag{};
+    ++n;
   }
-  return n - start;
+  return n;
 }
 
 // Flattens an UPDATE message into per-prefix events, withdrawals first

@@ -3,8 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "core/invariants.h"
-
 namespace iri::core {
 
 void ExchangeMonitor::Attach(sim::Router& route_server) {
@@ -18,23 +16,12 @@ void ExchangeMonitor::Attach(sim::Router& route_server) {
       });
 }
 
-void ExchangeMonitor::ConfigureSharding(int shards, int shard_threads,
-                                        std::size_t batch_cap) {
-  IRI_ASSERT(pending_count_ == 0 && events_seen_ == 0,
-             "sharding must be configured before ingestion starts");
-  classifier_.Configure(shards);
-  shard_threads_ = shard_threads < 1 ? 1 : shard_threads;
-  batch_cap_ = batch_cap;
-}
-
 void ExchangeMonitor::AttachMetrics(obs::Registry* registry) {
   if (registry == nullptr) {
     messages_metric_ = events_metric_ = mrt_records_metric_ = nullptr;
     category_metrics_.fill(nullptr);
     ingest_site_ = obs::ProfileSite{};
     drain_site_ = obs::ProfileSite{};
-    shard_events_metrics_.clear();
-    shard_depth_metrics_.clear();
     return;
   }
   messages_metric_ = &registry->GetCounter("monitor.messages");
@@ -46,10 +33,9 @@ void ExchangeMonitor::AttachMetrics(obs::Registry* registry) {
   }
   ingest_site_ = obs::MakeProfileSite(*registry, "monitor.ingest");
   // Hand-rolled kWallClock site (MakeProfileSite would register calls/items
-  // as deterministic): drain cadence depends on the batching configuration
-  // — offline replay drains per message, live scenarios on cap and tick —
-  // so even the counts must stay out of deterministic snapshots or the
-  // replay-differential contract (identical monitor.* snapshots) breaks.
+  // as deterministic): its counts repeat monitor.ingest's, less the
+  // messages with no prefix, and keeping them out of deterministic
+  // snapshots keeps the committed golden digests as they are.
   drain_site_.calls = &registry->GetCounter("profile.monitor.drain.calls",
                                             obs::Stability::kWallClock);
   drain_site_.items = &registry->GetCounter("profile.monitor.drain.items",
@@ -59,20 +45,6 @@ void ExchangeMonitor::AttachMetrics(obs::Registry* registry) {
           ? &registry->GetCounter("profile.monitor.drain.wall_ns",
                                   obs::Stability::kWallClock)
           : nullptr;
-  // Per-shard depth instruments are kWallClock by design: shard-count-
-  // dependent names must never reach a digest-feeding snapshot (golden
-  // digests are pinned byte-identical across the (threads x shards)
-  // matrix). The scaling bench reads them with include_wall_clock=true.
-  shard_events_metrics_.clear();
-  shard_depth_metrics_.clear();
-  for (int s = 0; s < classifier_.num_shards(); ++s) {
-    const std::string tag = std::to_string(s);
-    shard_events_metrics_.push_back(&registry->GetCounter(
-        "monitor.shard." + tag + ".events", obs::Stability::kWallClock));
-    shard_depth_metrics_.push_back(&registry->GetGauge(
-        "monitor.shard." + tag + ".depth_peak", obs::Stability::kWallClock,
-        obs::GaugeMerge::kMax));
-  }
 }
 
 void ExchangeMonitor::AttachTimeSeries(obs::SeriesFlusher* series,
@@ -115,11 +87,8 @@ void ExchangeMonitor::Ingest(TimePoint now, bgp::PeerId peer,
     }
     if (mrt_records_metric_ != nullptr) mrt_records_metric_->Add(1);
   }
-  // Stage 1: explode into the pending batch (appending after what is
-  // already queued; slots recycle their attribute buffers) and feed every
-  // category-independent consumer at tap time.
-  const std::size_t n = ExplodeUpdateReuse(now, peer, peer_asn, update,
-                                           pending_, pending_count_, causes);
+  const std::size_t n =
+      ExplodeUpdateReuse(now, peer, peer_asn, update, events_, causes);
   timer.AddItems(n);
   if (events_per_msg_series_ != nullptr) {
     events_per_msg_series_->Observe(static_cast<std::int64_t>(n));
@@ -129,34 +98,12 @@ void ExchangeMonitor::Ingest(TimePoint now, bgp::PeerId peer,
       health_->ObservePeerEvent(now, peer);
     }
   }
-  pending_count_ += n;
-  if (batch_cap_ == 0 || pending_count_ >= batch_cap_) Drain();
-}
-
-void ExchangeMonitor::Drain() {
-  if (pending_count_ == 0) return;
-  const std::size_t n = pending_count_;
-  if (verdicts_.size() < n) verdicts_.resize(n);
-  {
-    // Stage 2: sharded classification. The timer is the bench's merge-wait
-    // signal (wall time the serial analysis stage spends blocked on the
-    // fork-join); count/items stay deterministic and shard-independent.
-    obs::ScopedTimer timer(&drain_site_, n);
-    classifier_.ClassifyBatch({pending_.data(), n}, {verdicts_.data(), n},
-                              shard_threads_);
-  }
-  if (!shard_events_metrics_.empty()) {
-    const auto& counts = classifier_.last_batch_shard_counts();
-    for (std::size_t s = 0; s < counts.size(); ++s) {
-      shard_events_metrics_[s]->Add(counts[s]);
-      shard_depth_metrics_[s]->RaiseTo(static_cast<std::int64_t>(counts[s]));
-    }
-  }
-  // Stage 3: serial analysis walk in arrival order — the only stage that
-  // observes categories, so every output byte is produced in a fixed order
-  // regardless of how stage 2 was scheduled.
+  if (n == 0) return;
+  // Classify in arrival order: each event's verdict reaches the counters
+  // and sinks before the next event is classified.
+  obs::ScopedTimer classify_timer(&drain_site_, n);
   for (std::size_t i = 0; i < n; ++i) {
-    const ShardVerdict v = verdicts_[i];
+    const Verdict v = classifier_.ClassifyVerdict(events_[i]);
     ++events_seen_;
     if (events_metric_ != nullptr) {
       events_metric_->Add(1);
@@ -170,14 +117,13 @@ void ExchangeMonitor::Drain() {
     if (!sinks_.empty()) {
       classified_scratch_.category = v.category;
       classified_scratch_.policy_fluctuation = v.policy_fluctuation;
-      // Swap, don't copy: the batch slot donates its event (and buffers) to
-      // the sink view and inherits the scratch's previous buffers, so both
+      // Swap, don't copy: the slot donates its event (and buffers) to the
+      // sink view and inherits the scratch's previous buffers, so both
       // sides keep their capacity.
-      std::swap(classified_scratch_.event, pending_[i]);
+      std::swap(classified_scratch_.event, events_[i]);
       for (const Sink& sink : sinks_) sink(classified_scratch_);
     }
   }
-  pending_count_ = 0;
 }
 
 std::uint64_t ExchangeMonitor::Replay(mrt::Reader& reader) {
@@ -191,7 +137,6 @@ std::uint64_t ExchangeMonitor::Replay(mrt::Reader& reader) {
       ++updates;
     }
   }
-  Drain();
   return updates;
 }
 

@@ -7,25 +7,11 @@
 // servers ... [and] use several tools to decode and analyze the BGP packet
 // logs".
 //
-// Ingestion is a three-stage pipeline (DESIGN.md §13):
-//
-//   stage 1 (codec, at tap time): MRT logging (zero-copy from the received
-//     wire bytes), message counters, the events-per-message histogram and
-//     the health monitor's per-event peer feed — everything that does not
-//     depend on the event's category. Exploded events are appended to a
-//     pending batch.
-//   stage 2 (classify, at drain time): the pending batch fans out over the
-//     prefix-sharded classifier (ShardedClassifier), each shard processing
-//     its own events in arrival order.
-//   stage 3 (analysis, at drain time): a serial walk over the batch in
-//     arrival order re-joins verdicts with events and feeds the category
-//     counters, series instruments and sinks — byte-identical output at any
-//     (threads x shards) combination.
-//
-// Unconfigured monitors (unit tests, offline replay) drain at the end of
-// every Ingest call, which makes the pipeline observationally identical to
-// the historical one-stage path. Scenario-driven monitors drain on a batch
-// cap and at every observation boundary (series tick, midnight, run end).
+// Ingest is one pass per message: log the MRT record, explode the message
+// into per-prefix events, then classify each event in arrival order and
+// hand it to the counters, the series instruments and the sinks before the
+// next one. The same pass serves the live tap and offline replay, which is
+// why a live run and its replay produce identical monitor.* snapshots.
 #pragma once
 
 #include <array>
@@ -60,27 +46,13 @@ class ExchangeMonitor {
   // Mirrors every tapped UPDATE message into an MRT log. Not owned.
   void SetMrtWriter(mrt::Writer* writer) { mrt_ = writer; }
 
-  // Partitions the classifier by prefix space into `shards` shards and
-  // switches ingestion to batched draining: events accumulate until
-  // `batch_cap` are pending (or Drain() is called) and are then classified
-  // with up to `shard_threads` workers. Digests are byte-identical at any
-  // (shards, shard_threads, batch_cap) combination; only throughput moves.
-  // Must be called before any event is ingested.
-  void ConfigureSharding(int shards, int shard_threads,
-                         std::size_t batch_cap = kDefaultBatchCap);
-
-  // Classifies everything pending and feeds the analysis stage. Safe to
-  // call at any time; the scenario drains at every observation boundary.
-  void Drain();
-
   // Attaches the monitor.* instruments (message/event counters, one counter
   // per taxonomy bin, the monitor.ingest/monitor.drain profile sites).
   // Every counter the live tap feeds is also fed by offline Replay(), so a
   // live run and its MRT replay produce identical "monitor."-prefixed
   // snapshots — the replay-differential test's contract. MRT record
   // accounting deliberately lives under "mrt.records" (outside the prefix):
-  // replay has no writer. Call after ConfigureSharding: the per-shard
-  // depth instruments are sized by the configured shard count.
+  // replay has no writer.
   void AttachMetrics(obs::Registry* registry);
 
   // Attaches the streaming telemetry feeds: windowed series instruments
@@ -109,47 +81,31 @@ class ExchangeMonitor {
               const obs::CauseVec& causes = {});
 
   // Replays an MRT log through the monitor (offline analysis path).
-  // Returns the number of UPDATE messages ingested. Drains on return.
+  // Returns the number of UPDATE messages ingested.
   std::uint64_t Replay(mrt::Reader& reader);
 
-  const ShardedClassifier& classifier() const { return classifier_; }
+  const Classifier& classifier() const { return classifier_; }
   std::uint64_t events_seen() const { return events_seen_; }
   std::uint64_t messages_seen() const { return messages_seen_; }
-  std::size_t pending_events() const { return pending_count_; }
-
-  static constexpr std::size_t kDefaultBatchCap = 4096;
 
  private:
-  ShardedClassifier classifier_;
+  Classifier classifier_;
   std::vector<Sink> sinks_;
   mrt::Writer* mrt_ = nullptr;
   bgp::Asn local_asn_ = 0;
   std::uint64_t events_seen_ = 0;
   std::uint64_t messages_seen_ = 0;
-  // Pending batch (stage 1 -> stage 2 hand-off). Slots recycle their
-  // attribute buffers via ExplodeUpdateReuse's append mode; only the first
-  // pending_count_ elements are live.
-  std::vector<UpdateEvent> pending_;
-  std::size_t pending_count_ = 0;
-  std::vector<ShardVerdict> verdicts_;  // stage-2 output, batch-indexed
-  int shard_threads_ = 1;
-  std::size_t batch_cap_ = 0;  // 0 = drain at the end of every Ingest
-  ClassifiedEvent classified_scratch_;  // stage-3 sink view (recycled)
+  // The current message's events. Slots recycle their attribute buffers
+  // via ExplodeUpdateReuse; only the first n of a message are live.
+  std::vector<UpdateEvent> events_;
+  ClassifiedEvent classified_scratch_;  // sink view (recycled)
   obs::Counter* messages_metric_ = nullptr;
   obs::Counter* events_metric_ = nullptr;
   obs::Counter* mrt_records_metric_ = nullptr;
   std::array<obs::Counter*, kNumCategories> category_metrics_{};
   obs::ProfileSite ingest_site_;
-  // Times the stage-2 fan-out/join (the "merge wait" the scaling bench
-  // reports); its deterministic count/items mirror drains and drained
-  // events, shard-count independent.
+  // Times the classify loop inside Ingest (nested in monitor.ingest).
   obs::ProfileSite drain_site_;
-  // Per-shard depth instruments (events per shard, peak batch slice).
-  // Registered kWallClock: their values are deterministic, but they exist
-  // per shard — snapshots must stay byte-identical across shard counts, so
-  // they are excluded from digest-feeding snapshots by stability class.
-  std::vector<obs::Counter*> shard_events_metrics_;
-  std::vector<obs::Gauge*> shard_depth_metrics_;
   obs::WindowedCounter* updates_series_ = nullptr;
   obs::WindowedCounter* wwdup_series_ = nullptr;
   obs::WindowedCounter* aadup_series_ = nullptr;

@@ -81,7 +81,7 @@ struct CauseRow {
   std::uint32_t id = 0;
   obs::CauseKind kind = obs::CauseKind::kNone;
   TimePoint injected;
-  obs::ShardProvenance::CauseStats stats;
+  obs::AttributionMatrix::CauseStats stats;
 };
 
 // Flattens per-exchange cause tables into rows ordered by blast radius
@@ -116,9 +116,9 @@ std::vector<CauseRow> TopCauses(
   return rows;
 }
 
-obs::ShardProvenance CombineObserved(
+obs::AttributionMatrix CombineObserved(
     std::span<const obs::ExchangeAttribution> exchanges) {
-  obs::ShardProvenance combined;
+  obs::AttributionMatrix combined;
   for (const auto& ex : exchanges) combined.Merge(ex.observed);
   return combined;
 }
@@ -134,7 +134,7 @@ std::string Seconds(TimePoint t) {
 
 std::string FormatAttributionReport(
     std::span<const obs::ExchangeAttribution> exchanges) {
-  const obs::ShardProvenance combined = CombineObserved(exchanges);
+  const obs::AttributionMatrix combined = CombineObserved(exchanges);
   std::size_t total_causes = 0;
   for (const auto& ex : exchanges) total_causes += ex.causes.size();
   const std::uint64_t attributed = combined.attributed();
@@ -160,7 +160,7 @@ std::string FormatAttributionReport(
   for (std::size_t k = 1; k < obs::kNumCauseKinds; ++k) {
     std::uint64_t col = 0;
     for (std::size_t c = 0; c < kNumCategories; ++c) {
-      for (std::size_t d = 0; d < obs::ShardProvenance::kDepthBuckets; ++d) {
+      for (std::size_t d = 0; d < obs::AttributionMatrix::kDepthBuckets; ++d) {
         col += combined.MatrixAt(c, k, d);
       }
     }
@@ -177,7 +177,7 @@ std::string FormatAttributionReport(
     std::vector<std::string> row{ToString(static_cast<Category>(c))};
     for (std::size_t k : kinds) {
       std::uint64_t cell = 0;
-      for (std::size_t d = 0; d < obs::ShardProvenance::kDepthBuckets; ++d) {
+      for (std::size_t d = 0; d < obs::AttributionMatrix::kDepthBuckets; ++d) {
         cell += combined.MatrixAt(c, k, d);
       }
       row.push_back(std::to_string(cell));
@@ -192,14 +192,14 @@ std::string FormatAttributionReport(
   // injection point before being observed.
   out += "\nhop depth (re-propagations from the injected fault):\n";
   std::uint64_t depth_max = 0;
-  for (std::size_t d = 0; d < obs::ShardProvenance::kDepthBuckets; ++d) {
+  for (std::size_t d = 0; d < obs::AttributionMatrix::kDepthBuckets; ++d) {
     depth_max = std::max(depth_max, combined.DepthBucketTotal(d));
   }
-  for (std::size_t d = 0; d < obs::ShardProvenance::kDepthBuckets; ++d) {
+  for (std::size_t d = 0; d < obs::AttributionMatrix::kDepthBuckets; ++d) {
     const std::uint64_t n = combined.DepthBucketTotal(d);
     if (n == 0) continue;
     std::snprintf(line, sizeof(line), "  %s%zu  %10llu  %s\n",
-                  d + 1 == obs::ShardProvenance::kDepthBuckets ? ">=" : "",
+                  d + 1 == obs::AttributionMatrix::kDepthBuckets ? ">=" : "",
                   d, static_cast<unsigned long long>(n),
                   AsciiBar(static_cast<double>(n),
                            static_cast<double>(depth_max), 40)
@@ -237,7 +237,7 @@ std::string FormatAttributionReport(
 
 std::string AttributionJson(
     std::span<const obs::ExchangeAttribution> exchanges) {
-  const obs::ShardProvenance combined = CombineObserved(exchanges);
+  const obs::AttributionMatrix combined = CombineObserved(exchanges);
   std::size_t total_causes = 0;
   for (const auto& ex : exchanges) total_causes += ex.causes.size();
   const std::uint64_t attributed = combined.attributed();
@@ -263,7 +263,7 @@ std::string AttributionJson(
   for (std::size_t c = 0; c < kNumCategories; ++c) {
     for (std::size_t k = 0; k < obs::kNumCauseKinds; ++k) {
       std::uint64_t cell = 0;
-      for (std::size_t d = 0; d < obs::ShardProvenance::kDepthBuckets; ++d) {
+      for (std::size_t d = 0; d < obs::AttributionMatrix::kDepthBuckets; ++d) {
         cell += combined.MatrixAt(c, k, d);
       }
       if (cell == 0) continue;
@@ -278,7 +278,7 @@ std::string AttributionJson(
     }
   }
   out += "\n  ],\n  \"depth_histogram\": [";
-  for (std::size_t d = 0; d < obs::ShardProvenance::kDepthBuckets; ++d) {
+  for (std::size_t d = 0; d < obs::AttributionMatrix::kDepthBuckets; ++d) {
     std::snprintf(line, sizeof(line), "%s%llu", d == 0 ? "" : ", ",
                   static_cast<unsigned long long>(combined.DepthBucketTotal(d)));
     out += line;

@@ -68,7 +68,7 @@ double HealthMonitor::GoertzelPower(const std::vector<double>& x,
   return s_prev * s_prev + s_prev2 * s_prev2 - coeff * s_prev * s_prev2;
 }
 
-void HealthMonitor::EvaluateBlock(TimePoint now) {
+void HealthMonitor::EvaluateBlock([[maybe_unused]] TimePoint now) {
   const std::size_t n = block_.size();
   if (n < 8) {
     block_.clear();

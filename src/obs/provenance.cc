@@ -38,8 +38,8 @@ CauseTag ProvenanceContext::Allocate(CauseKind kind, TimePoint now) {
   return tag;
 }
 
-void ShardProvenance::Record(std::size_t cls, const CauseTag& tag,
-                             TimePoint now, bool first_touch) {
+void AttributionMatrix::Record(std::size_t cls, const CauseTag& tag,
+                               TimePoint now, bool first_touch) {
   const auto kind = static_cast<std::size_t>(tag.kind);
   const std::size_t bucket =
       std::min<std::size_t>(tag.depth, kDepthBuckets - 1);
@@ -60,7 +60,7 @@ void ShardProvenance::Record(std::size_t cls, const CauseTag& tag,
   if (now > s.last_seen) s.last_seen = now;
 }
 
-void ShardProvenance::Merge(const ShardProvenance& other) {
+void AttributionMatrix::Merge(const AttributionMatrix& other) {
   for (std::size_t i = 0; i < kCells; ++i) matrix_[i] += other.matrix_[i];
   attributed_ += other.attributed_;
   unattributed_ += other.unattributed_;
@@ -79,16 +79,16 @@ void ShardProvenance::Merge(const ShardProvenance& other) {
   }
 }
 
-std::uint64_t ShardProvenance::attributed() const { return attributed_; }
-std::uint64_t ShardProvenance::unattributed() const { return unattributed_; }
-std::uint8_t ShardProvenance::depth_peak() const { return depth_peak_; }
+std::uint64_t AttributionMatrix::attributed() const { return attributed_; }
+std::uint64_t AttributionMatrix::unattributed() const { return unattributed_; }
+std::uint8_t AttributionMatrix::depth_peak() const { return depth_peak_; }
 
-std::uint64_t ShardProvenance::MatrixAt(std::size_t cls, std::size_t kind,
-                                        std::size_t depth_bucket) const {
+std::uint64_t AttributionMatrix::MatrixAt(std::size_t cls, std::size_t kind,
+                                          std::size_t depth_bucket) const {
   return matrix_[CellIndex(cls, kind, depth_bucket)];
 }
 
-std::uint64_t ShardProvenance::ClassTotal(std::size_t cls) const {
+std::uint64_t AttributionMatrix::ClassTotal(std::size_t cls) const {
   std::uint64_t sum = 0;
   for (std::size_t k = 0; k < kNumCauseKinds; ++k) {
     for (std::size_t d = 0; d < kDepthBuckets; ++d) {
@@ -98,7 +98,7 @@ std::uint64_t ShardProvenance::ClassTotal(std::size_t cls) const {
   return sum;
 }
 
-std::uint64_t ShardProvenance::ClassAttributed(std::size_t cls) const {
+std::uint64_t AttributionMatrix::ClassAttributed(std::size_t cls) const {
   std::uint64_t sum = ClassTotal(cls);
   for (std::size_t d = 0; d < kDepthBuckets; ++d) {
     sum -= matrix_[CellIndex(
@@ -107,7 +107,7 @@ std::uint64_t ShardProvenance::ClassAttributed(std::size_t cls) const {
   return sum;
 }
 
-std::uint64_t ShardProvenance::DepthBucketTotal(
+std::uint64_t AttributionMatrix::DepthBucketTotal(
     std::size_t depth_bucket) const {
   std::uint64_t sum = 0;
   for (std::size_t c = 0; c < kMaxClasses; ++c) {
@@ -118,8 +118,8 @@ std::uint64_t ShardProvenance::DepthBucketTotal(
   return sum;
 }
 
-const std::vector<ShardProvenance::CauseStats>& ShardProvenance::cause_stats()
-    const {
+const std::vector<AttributionMatrix::CauseStats>&
+AttributionMatrix::cause_stats() const {
   return stats_;
 }
 

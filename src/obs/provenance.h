@@ -8,14 +8,13 @@
 // simulator knows ground truth, so WWDup dominance can be attributed to the
 // stateless-BGP internal resets and sprays that produced it.
 //
-// Determinism contract (DESIGN.md §14): cause ids are a dense per-partition
+// Determinism contract (DESIGN.md §13): cause ids are a dense per-partition
 // sequence in allocation order — a pure function of (seed, config) because
 // every allocation happens on the partition's single scheduler thread. All
 // aggregation state is indexed by id or by fixed enum order; merges follow
-// the fixed-order contract (per-exchange, then per-shard:
-// ShardProvenance::Merge is an iri_det aggregation sink like
-// Shard*::totals), so digests are byte-identical across the
-// (threads × shards × shard_threads) matrix.
+// the fixed-order contract (exchanges in exchange order;
+// AttributionMatrix::Merge is an iri_det aggregation sink), so digests are
+// byte-identical at any exchange-thread count.
 //
 // Compiles out cleanly: -DIRI_PROVENANCE=OFF collapses CauseTag/CauseVec to
 // empty stand-ins (zero bytes via [[no_unique_address]], no-op calls), so
@@ -181,12 +180,12 @@ class CauseScope {
   CauseTag saved_;
 };
 
-// Per-shard attribution aggregate, fed by the classifier at verdict time.
+// Per-exchange attribution aggregate, fed by the classifier at verdict time.
 // The class axis is caller-defined (the classifier's taxonomy bins); obs
 // stays below core in the layer order, so the category arrives as an index.
-// Merge follows the fixed-order contract: shards 0..N-1 within an exchange,
-// exchanges 0..K-1 across partitions (an iri_det aggregation sink).
-class ShardProvenance {
+// Merge follows the fixed-order contract: exchanges 0..K-1 across
+// partitions (an iri_det aggregation sink).
+class AttributionMatrix {
  public:
   static constexpr std::size_t kMaxClasses = 8;
   // Hop-depth histogram buckets 0..6 plus a 7+ overflow bucket.
@@ -206,9 +205,8 @@ class ShardProvenance {
   void Record(std::size_t cls, const CauseTag& tag, TimePoint now,
               bool first_touch);
 
-  // Fixed-order aggregation: callers sum shards 0..N-1, then exchanges in
-  // exchange order.
-  void Merge(const ShardProvenance& other);
+  // Fixed-order aggregation: callers sum exchanges in exchange order.
+  void Merge(const AttributionMatrix& other);
 
   std::uint64_t attributed() const;
   std::uint64_t unattributed() const;
@@ -238,12 +236,12 @@ class ShardProvenance {
 #endif
 };
 
-// One exchange partition's complete attribution output: the merged per-shard
+// One exchange partition's complete attribution output: the classifier's
 // observations joined with the partition's cause table. Per-exchange because
 // cause ids are partition-local (the full CauseId identity is
 // (exchange, kind, sequence)); report code renders them side by side.
 struct ExchangeAttribution {
-  ShardProvenance observed;
+  AttributionMatrix observed;
   std::vector<CauseInfo> causes;
 };
 
@@ -254,27 +252,27 @@ struct ExchangeAttribution {
 inline CauseTag ProvenanceContext::Allocate(CauseKind, TimePoint) {
   return {};
 }
-inline void ShardProvenance::Record(std::size_t, const CauseTag&, TimePoint,
-                                    bool) {}
-inline void ShardProvenance::Merge(const ShardProvenance&) {}
-inline std::uint64_t ShardProvenance::attributed() const { return 0; }
-inline std::uint64_t ShardProvenance::unattributed() const { return 0; }
-inline std::uint8_t ShardProvenance::depth_peak() const { return 0; }
-inline std::uint64_t ShardProvenance::MatrixAt(std::size_t, std::size_t,
-                                               std::size_t) const {
+inline void AttributionMatrix::Record(std::size_t, const CauseTag&, TimePoint,
+                                      bool) {}
+inline void AttributionMatrix::Merge(const AttributionMatrix&) {}
+inline std::uint64_t AttributionMatrix::attributed() const { return 0; }
+inline std::uint64_t AttributionMatrix::unattributed() const { return 0; }
+inline std::uint8_t AttributionMatrix::depth_peak() const { return 0; }
+inline std::uint64_t AttributionMatrix::MatrixAt(std::size_t, std::size_t,
+                                                 std::size_t) const {
   return 0;
 }
-inline std::uint64_t ShardProvenance::ClassTotal(std::size_t) const {
+inline std::uint64_t AttributionMatrix::ClassTotal(std::size_t) const {
   return 0;
 }
-inline std::uint64_t ShardProvenance::ClassAttributed(std::size_t) const {
+inline std::uint64_t AttributionMatrix::ClassAttributed(std::size_t) const {
   return 0;
 }
-inline std::uint64_t ShardProvenance::DepthBucketTotal(std::size_t) const {
+inline std::uint64_t AttributionMatrix::DepthBucketTotal(std::size_t) const {
   return 0;
 }
-inline const std::vector<ShardProvenance::CauseStats>&
-ShardProvenance::cause_stats() const {
+inline const std::vector<AttributionMatrix::CauseStats>&
+AttributionMatrix::cause_stats() const {
   static const std::vector<CauseStats> kEmpty;
   return kEmpty;
 }

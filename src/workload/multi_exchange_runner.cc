@@ -76,11 +76,11 @@ std::string MultiExchangeResult::Digest(
   }
 #if defined(IRI_PROVENANCE_ENABLED) && IRI_PROVENANCE_ENABLED
   // Causal attribution rollup, merged in exchange order (the fixed-order
-  // contract: ShardProvenance::Merge is an iri_det aggregation sink). The
+  // contract: AttributionMatrix::Merge is an iri_det aggregation sink). The
   // matrix lines iterate (category, kind) in enum order and skip zero cells,
   // so the text is a pure function of the counts.
   {
-    obs::ShardProvenance rollup;
+    obs::AttributionMatrix rollup;
     std::size_t causes = 0;
     for (const ExchangeRun& run : exchanges) {
       rollup.Merge(run.attribution.observed);
@@ -94,7 +94,7 @@ std::string MultiExchangeResult::Digest(
     for (std::size_t c = 0; c < core::kNumCategories; ++c) {
       for (std::size_t kind = 0; kind < obs::kNumCauseKinds; ++kind) {
         std::uint64_t cell = 0;
-        for (std::size_t d = 0; d < obs::ShardProvenance::kDepthBuckets;
+        for (std::size_t d = 0; d < obs::AttributionMatrix::kDepthBuckets;
              ++d) {
           cell += rollup.MatrixAt(c, kind, d);
         }
@@ -122,6 +122,7 @@ MultiExchangeResult MultiExchangeRunner::Run() {
 
   std::vector<ExchangeRun> runs(static_cast<std::size_t>(k));
   std::vector<MrtSegments::Segment> mrt_segments(static_cast<std::size_t>(k));
+  std::vector<std::string> traces(static_cast<std::size_t>(k));
   sim::ParallelFor(k, config_.threads, [&](int e) {
     const ScenarioConfig part = PartitionConfig(config_.scenario, e);
     ExchangeScenario scenario(part, universe);
@@ -147,7 +148,9 @@ MultiExchangeResult MultiExchangeRunner::Run() {
     // instrument pointers inside it) is destroyed. Runs on the worker that
     // owns this exchange, touching only this partition's slot.
     run.metrics.Merge(scenario.metrics());
-    if (config_.capture_trace) run.trace = scenario.trace().TakeBuffer();
+    if (config_.capture_trace) {
+      traces[static_cast<std::size_t>(e)] = scenario.trace().TakeBuffer();
+    }
     // Fold the series text into its digest summary; the text goes with the
     // scenario.
     const std::string& series = scenario.series().buffer();
@@ -156,8 +159,7 @@ MultiExchangeResult MultiExchangeRunner::Run() {
     run.series_crc32 = Crc32(
         {reinterpret_cast<const std::uint8_t*>(series.data()), series.size()});
     if constexpr (obs::kProvenanceEnabled) {
-      scenario.monitor().classifier().MergeProvenanceInto(
-          run.attribution.observed);
+      run.attribution.observed = scenario.monitor().classifier().provenance();
       run.attribution.causes = scenario.provenance().infos();
     }
     if (teardown_) teardown_(e, scenario);
@@ -170,6 +172,15 @@ MultiExchangeResult MultiExchangeRunner::Run() {
   for (MrtSegments::Segment& segment : mrt_segments) {
     result.merged_mrt.Append(std::move(segment));
   }
+  // Each partition's trace is freed as soon as it is appended, so the bytes
+  // are held twice for at most one partition at a time.
+  std::size_t trace_bytes = 0;
+  for (const std::string& trace : traces) trace_bytes += trace.size();
+  result.merged_trace.reserve(trace_bytes);
+  for (std::string& trace : traces) {
+    result.merged_trace += trace;
+    std::string().swap(trace);
+  }
   for (const ExchangeRun& run : result.exchanges) {
     IRI_ASSERT(run.events == run.counts.Total(),
                "per-exchange sink and monitor must agree on event count");
@@ -178,7 +189,6 @@ MultiExchangeResult MultiExchangeRunner::Run() {
       result.combined_classifier_totals[c] += run.classifier_totals[c];
     }
     result.metrics.Merge(run.metrics);
-    result.merged_trace += run.trace;
     result.total_series_records += run.series_records;
     result.total_messages += run.messages;
     result.total_events += run.events;

@@ -3,7 +3,7 @@
 // The paper's dataset comes from five independent exchange points (Mae-East,
 // Sprint NAP, AADS, PacBell NAP, Mae-West) whose collectors never talk to
 // each other — they only meet again in post-hoc analysis. That independence
-// is an execution boundary: a num_exchanges=K scenario shards into K
+// is an execution boundary: a num_exchanges=K scenario splits into K
 // single-exchange partitions, each with its own sim::Scheduler, its own
 // decorrelated RNG stream (ExchangeSubSeed), and private MRT/stats sinks.
 // Partitions run on a small worker pool (sim::ParallelFor, sized by
@@ -42,9 +42,9 @@ struct MultiExchangeConfig {
   // Capture each partition's MRT byte stream in memory (the merged stream
   // is what the golden digests checksum). Disable for pure-stats runs.
   bool capture_mrt = true;
-  // Move each partition's structured trace buffer (obs/trace.h) into its
-  // ExchangeRun and the merged result. Off by default: traces are bulky and
-  // only diagnostics want them.
+  // Move each partition's structured trace buffer (obs/trace.h) into the
+  // merged result. Off by default: traces are bulky and only diagnostics
+  // want them.
   bool capture_trace = false;
 };
 
@@ -62,7 +62,6 @@ struct ExchangeRun {
   // instruments feed the merged snapshot, so the bytes are thread-count
   // independent.
   obs::Registry metrics;
-  std::string trace;  // JSONL trace buffer (empty unless capture_trace)
   // Summary of this exchange's series JSONL (obs/timeseries.h), folded on
   // the worker when the partition ends; the text itself is then dropped
   // with the scenario. The digest combines the CRCs in exchange order

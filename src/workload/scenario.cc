@@ -63,14 +63,6 @@ void ExchangeScenario::Build() {
     route_servers_.back()->SetProvenance(&prov_);
     monitors_.push_back(std::make_unique<core::ExchangeMonitor>());
     monitors_.back()->Attach(*route_servers_.back());
-    // Sharding before metrics: the per-shard depth instruments are sized by
-    // the configured shard count. Batched draining is only engaged when the
-    // config asks for parallelism; a (1,1) scenario keeps the historical
-    // drain-per-message behaviour.
-    if (config_.shards > 1 || config_.shard_threads > 1) {
-      monitors_.back()->ConfigureSharding(config_.shards,
-                                          config_.shard_threads);
-    }
     monitors_.back()->AttachMetrics(&metrics_);
   }
 
@@ -512,10 +504,6 @@ void ExchangeScenario::ScheduleProcesses() {
 
 void ExchangeScenario::SeriesTick() {
   const TimePoint now = sched_.Now();
-  // Observation boundary: everything ingested up to this tick must be
-  // classified before the windows are sampled, or batching would move
-  // events across window edges.
-  for (auto& monitor : monitors_) monitor->Drain();
   // Feed the detectors the windows being closed by this flush (window()
   // still holds the last interval's counts until Flush resets it).
   health_->ObserveTick(
@@ -595,9 +583,6 @@ void ExchangeScenario::ScheduleMidnight(int day) {
       TimePoint::Origin() + kDay * (day + 1) - Duration::Millis(1);
   if (end_of_day > TimePoint::Origin() + config_.duration) return;
   sched_.At(end_of_day, [this, day] {
-    // Observation boundary: daily hooks (Table-1 rollups, arena reset) must
-    // see the day's events fully classified.
-    for (auto& monitor : monitors_) monitor->Drain();
     for (auto& hook : daily_hooks_) hook(day);
     MaintenanceWindow(day + 1);
     SaturdaySpike(day + 1);
@@ -611,14 +596,12 @@ void ExchangeScenario::ScheduleDaily(std::function<void(int day)> fn) {
 
 void ExchangeScenario::RunUntil(TimePoint t) {
   sched_.RunUntil(t);
-  // Observation boundary: callers read monitors/digests right after a run.
-  for (auto& monitor : monitors_) monitor->Drain();
   if constexpr (obs::kProvenanceEnabled) {
     // Registered only when compiled in, so an IRI_PROVENANCE=OFF build's
     // snapshot is byte-identical to a never-enabled one.
-    obs::ShardProvenance combined;
+    obs::AttributionMatrix combined;
     for (auto& monitor : monitors_) {
-      monitor->classifier().MergeProvenanceInto(combined);
+      combined.Merge(monitor->classifier().provenance());
     }
     metrics_.GetGauge("provenance.causes")
         .Set(static_cast<std::int64_t>(prov_.Count()));

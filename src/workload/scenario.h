@@ -137,14 +137,6 @@ struct ScenarioConfig {
                              // statistics are identical either way)
   Duration link_latency = Duration::Millis(2);
 
-  // Intra-exchange prefix-space sharding (DESIGN.md §13). Each monitor's
-  // classifier state is partitioned into `shards` by a stable prefix hash
-  // and pending batches fan out over up to `shard_threads` workers. Golden
-  // digests are byte-identical at any (shards, shard_threads) combination —
-  // pinned by the golden matrix — so both knobs are pure throughput knobs.
-  int shards = 1;
-  int shard_threads = 1;
-
   // Opt-in wall-clock profiling (obs/profile.h): adds nondeterministic
   // profile.*.wall_ns counters, excluded from snapshots by default. Never
   // enable for runs whose snapshots feed golden digests.
@@ -358,7 +350,7 @@ class ExchangeScenario {
 
 // --- multi-exchange partitioning -------------------------------------------
 //
-// The partitioned runner (workload/multi_exchange_runner.h) shards a
+// The partitioned runner (workload/multi_exchange_runner.h) splits a
 // num_exchanges=K scenario into K independent single-exchange scenarios.
 // Each partition draws from its own decorrelated RNG stream so no draw in
 // one exchange can perturb another — the property that makes the parallel

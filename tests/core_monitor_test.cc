@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "core/event.h"
 #include "core/stats.h"
+#include "netbase/rng.h"
 
 namespace iri::core {
 namespace {
@@ -115,6 +122,61 @@ TEST(ExchangeMonitor, ClassifierStateVisibleThroughAccessor) {
   monitor.Ingest(T(0), 1, 701, Announce("10.0.0.0/8", {701}));
   monitor.Ingest(T(1), 2, 702, Announce("10.0.0.0/8", {702}));
   EXPECT_EQ(monitor.classifier().TrackedRoutes(), 2u);
+}
+
+// Random message streams: the monitor's sink sequence and totals must equal
+// a bare Classifier fed ExplodeUpdate's output in order. The prefix pool is
+// small, so one message often carries the same prefix twice (withdrawn and
+// re-announced) and classifying out of arrival order changes a category.
+TEST(ExchangeMonitor, InlineClassifyMatchesBareClassifierOnRandomStreams) {
+  using Step = std::tuple<Prefix, Category, bool>;
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    Rng rng(seed);
+    ExchangeMonitor monitor;
+    std::vector<Step> got;
+    monitor.AddSink([&got](const ClassifiedEvent& ev) {
+      got.emplace_back(ev.event.prefix, ev.category, ev.policy_fluctuation);
+    });
+    Classifier reference;
+    std::vector<Step> want;
+    std::vector<UpdateEvent> events;
+
+    for (int m = 0; m < 300; ++m) {
+      bgp::UpdateMessage msg;
+      const int nw = static_cast<int>(rng.Below(3));
+      for (int i = 0; i < nw; ++i) {
+        msg.withdrawn.push_back(Prefix(
+            IPv4Address(10, 0, static_cast<std::uint8_t>(rng.Below(32)), 0),
+            24));
+      }
+      const int na = static_cast<int>(rng.Below(3));
+      for (int i = 0; i < na; ++i) {
+        msg.nlri.push_back(Prefix(
+            IPv4Address(10, 0, static_cast<std::uint8_t>(rng.Below(32)), 0),
+            24));
+      }
+      if (!msg.nlri.empty()) {
+        msg.attributes.as_path =
+            bgp::AsPath::Sequence({static_cast<bgp::Asn>(701 + rng.Below(2))});
+        msg.attributes.next_hop = IPv4Address(192, 0, 2, 1);
+      }
+      const TimePoint t = T(m);
+      const bgp::PeerId peer = static_cast<bgp::PeerId>(rng.Below(3));
+      monitor.Ingest(t, peer, 100 + peer, msg);
+
+      events.clear();
+      ExplodeUpdate(t, peer, 100 + peer, msg, events);
+      for (UpdateEvent& ev : events) {
+        const ClassifiedEvent c = reference.Classify(std::move(ev));
+        want.emplace_back(c.event.prefix, c.category, c.policy_fluctuation);
+      }
+    }
+
+    EXPECT_EQ(got, want) << "seed " << seed;
+    EXPECT_EQ(monitor.classifier().totals(), reference.totals())
+        << "seed " << seed;
+    EXPECT_EQ(monitor.events_seen(), reference.total_events());
+  }
 }
 
 }  // namespace

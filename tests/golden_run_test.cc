@@ -108,12 +108,9 @@ MultiExchangeConfig PathologicalDay() {
   return cfg;
 }
 
-std::string RunDigest(const GoldenCase& c, int threads, int shards = 1,
-                      int shard_threads = 1) {
+std::string RunDigest(const GoldenCase& c, int threads) {
   MultiExchangeConfig cfg = c.make();
   cfg.threads = threads;
-  cfg.scenario.shards = shards;
-  cfg.scenario.shard_threads = shard_threads;
   MultiExchangeRunner runner(std::move(cfg));
   return runner.Run().Digest(c.name);
 }
@@ -160,32 +157,6 @@ TEST_P(GoldenRun, MatchesCommittedDigestAtEveryThreadCount) {
   EXPECT_EQ(serial, RunDigest(c, 2)) << c.name << ": 2-thread run diverged";
   EXPECT_EQ(serial, RunDigest(c, 4)) << c.name << ": 4-thread run diverged";
   EXPECT_EQ(serial, RunDigest(c, 0)) << c.name << ": default-pool run diverged";
-
-  // Intra-exchange sharding matrix (DESIGN.md §13): the digest must be
-  // byte-identical at every (exchange threads x shards x shard threads)
-  // combination — sharding the classifier by prefix space and fanning the
-  // batches over workers is a pure throughput knob. The full 9-cell
-  // (1,2,4)x(1,2,4) sweep runs on the cheapest scenario; the others cover
-  // the corners (max shards with serial shard workers, and the fully
-  // parallel cell). 7 shards exercises a count that is neither a power of
-  // two nor a divisor of anything in the topology.
-  const bool cheap = std::string(c.name) == "baseline_single";
-  if (cheap) {
-    for (const int shards : {1, 2, 4}) {
-      for (const int shard_threads : {1, 2, 4}) {
-        EXPECT_EQ(serial, RunDigest(c, 1, shards, shard_threads))
-            << c.name << ": diverged at shards=" << shards
-            << " shard_threads=" << shard_threads;
-      }
-    }
-    EXPECT_EQ(serial, RunDigest(c, 2, 7, 3))
-        << c.name << ": diverged at shards=7 shard_threads=3";
-  } else {
-    EXPECT_EQ(serial, RunDigest(c, 2, 4, 1))
-        << c.name << ": diverged at shards=4 shard_threads=1";
-    EXPECT_EQ(serial, RunDigest(c, 4, 4, 4))
-        << c.name << ": diverged at shards=4 shard_threads=4";
-  }
 
   // The digest embeds the merged deterministic metrics snapshot. Pin the
   // section's presence so an unwired registry can't pass vacuously as an

@@ -57,8 +57,8 @@ TEST(CauseTag, BumpedSaturatesDepth) {
   EXPECT_EQ(tag.Bumped().id, tag.id) << "bumping must preserve identity";
 }
 
-TEST(ShardProvenance, RecordsMatrixCellsAndBlastRadius) {
-  ShardProvenance prov;
+TEST(AttributionMatrix, RecordsMatrixCellsAndBlastRadius) {
+  AttributionMatrix prov;
   const CauseTag cause{3, static_cast<std::uint8_t>(CauseKind::kMaintenance),
                        2};
   const TimePoint t0 = TimePoint::Origin() + Duration::Seconds(10);
@@ -88,26 +88,26 @@ TEST(ShardProvenance, RecordsMatrixCellsAndBlastRadius) {
   EXPECT_EQ(s.last_seen, t1);
 }
 
-TEST(ShardProvenance, DepthBucketsOverflowIntoLast) {
-  ShardProvenance prov;
+TEST(AttributionMatrix, DepthBucketsOverflowIntoLast) {
+  AttributionMatrix prov;
   const CauseTag deep{1, static_cast<std::uint8_t>(CauseKind::kPathChange),
                       42};
   prov.Record(0, deep, TimePoint::Origin(), true);
-  EXPECT_EQ(prov.DepthBucketTotal(ShardProvenance::kDepthBuckets - 1), 1u);
+  EXPECT_EQ(prov.DepthBucketTotal(AttributionMatrix::kDepthBuckets - 1), 1u);
   EXPECT_EQ(prov.depth_peak(), 42u) << "peak keeps the unbucketed depth";
 }
 
-TEST(ShardProvenance, MergeSumsMatrixAndCombinesStats) {
+TEST(AttributionMatrix, MergeSumsMatrixAndCombinesStats) {
   const TimePoint t0 = TimePoint::Origin();
   const TimePoint t1 = TimePoint::Origin() + Duration::Minutes(1);
   const CauseTag cause{1, static_cast<std::uint8_t>(CauseKind::kOscillation),
                        1};
-  ShardProvenance a, b;
+  AttributionMatrix a, b;
   a.Record(0, cause, t0, true);
   b.Record(0, cause, t1, true);
   b.Record(3, CauseTag{}, t1, true);
 
-  ShardProvenance merged;
+  AttributionMatrix merged;
   merged.Merge(a);
   merged.Merge(b);
   EXPECT_EQ(merged.attributed(), 2u);
@@ -120,7 +120,7 @@ TEST(ShardProvenance, MergeSumsMatrixAndCombinesStats) {
   EXPECT_EQ(merged.cause_stats()[0].prefixes, 2u);
   EXPECT_EQ(merged.cause_stats()[0].first_seen, t0);
   EXPECT_EQ(merged.cause_stats()[0].last_seen, t1);
-  EXPECT_TRUE(ShardProvenance{}.Empty());
+  EXPECT_TRUE(AttributionMatrix{}.Empty());
   EXPECT_FALSE(merged.Empty());
 }
 
@@ -140,10 +140,10 @@ TEST(ProvenanceContext, OffBuildAllocatesNothing) {
   EXPECT_TRUE(ctx.Current().IsNull());
 }
 
-TEST(ShardProvenance, OffBuildIsZeroCost) {
+TEST(AttributionMatrix, OffBuildIsZeroCost) {
   // The OFF stand-ins must take no space in the structs that embed them via
   // [[no_unique_address]] and swallow every call without effect.
-  ShardProvenance prov;
+  AttributionMatrix prov;
   prov.Record(0, CauseTag{}, TimePoint::Origin(), true);
   EXPECT_EQ(prov.attributed(), 0u);
   EXPECT_EQ(prov.unattributed(), 0u);

@@ -73,6 +73,24 @@ TEST(MultiExchangeRunner, ThreadCountDoesNotChangeAnyByte) {
   }
 }
 
+// The merged trace is the partitions' traces in exchange order, so it must
+// not depend on which worker finished first.
+TEST(MultiExchangeRunner, MergedTraceIsIdenticalAtEveryThreadCount) {
+  const auto run_trace = [](int threads) {
+    MultiExchangeConfig cfg = SmallConfig(3);
+    cfg.threads = threads;
+    cfg.capture_trace = true;
+    return MultiExchangeRunner(std::move(cfg)).Run().merged_trace;
+  };
+  const std::string serial = run_trace(1);
+#if defined(IRI_TRACE_ENABLED) && IRI_TRACE_ENABLED
+  EXPECT_FALSE(serial.empty()) << "three exchanges must trace something";
+#else
+  EXPECT_TRUE(serial.empty()) << "IRI_TRACE=OFF must emit nothing";
+#endif
+  EXPECT_EQ(run_trace(2), serial);
+}
+
 TEST(MultiExchangeRunner, MergePreservesFixedExchangeOrder) {
   const MultiExchangeResult result = MultiExchangeRunner(SmallConfig(3)).Run();
   ASSERT_EQ(result.exchanges.size(), 3u);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare benchmark JSON against a committed baseline and flag regressions.
 
-Understands both JSON shapes the repo produces:
+Understands the three JSON shapes the repo produces:
 
   * google-benchmark output (bench_micro_perf writes BENCH_micro_perf.json):
     {"benchmarks": [{"name": ..., "real_time": ..., "time_unit": ...}, ...]}
@@ -9,6 +9,8 @@ Understands both JSON shapes the repo produces:
   * bench_parallel_scaling output (BENCH_parallel.json):
     {"runs": [{"threads": N, "updates_per_sec": X, ...}, ...]}
     — higher is better; compared on updates_per_sec, keyed by thread count.
+    The other per-run fields (seconds, updates, sim_events) are context and
+    are not compared.
   * bench_full_paper output (BENCH_full_paper.json):
     {"metrics": [{"name": ..., "value": X, "higher_is_better": B}, ...]}
     — each metric declares its own direction.
@@ -55,30 +57,6 @@ def load_metrics(path: str) -> dict[str, tuple[float, bool]]:
     return metrics
 
 
-def load_info(path: str) -> dict[str, float]:
-    """Returns {name: value} for informational (never-regressing) fields.
-
-    bench_parallel_scaling carries per-run drain/merge-wait telemetry and a
-    per-shard load breakdown ("shard_load": [{shard, events, depth_peak}]).
-    Those are wall-clock- or partitioning-shaped, so they are reported as
-    deltas for the reader but can never fail the comparison.
-    """
-    with open(path) as f:
-        doc = json.load(f)
-    info: dict[str, float] = {}
-    for run in doc.get("runs", []):
-        key = f"threads:{run['threads']}"
-        for field in ("drain_calls", "merge_wait_ns"):
-            if field in run:
-                info[f"{field}/{key}"] = float(run[field])
-    for load in doc.get("shard_load", []):
-        key = f"shard:{load['shard']}"
-        for field in ("events", "depth_peak"):
-            if field in load:
-                info[f"shard_load.{field}/{key}"] = float(load[field])
-    return info
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -113,22 +91,6 @@ def main() -> int:
               f"current={value:.1f} ({delta:+.1%})")
     for name in sorted(set(current) - set(baseline)):
         print(f"NEW      {name}: {current[name][0]:.1f} (no baseline)")
-
-    # Informational telemetry: printed for the reader, never a regression.
-    base_info = load_info(args.baseline)
-    cur_info = load_info(args.current)
-    for name in sorted(set(base_info) | set(cur_info)):
-        if name not in cur_info:
-            print(f"info     {name}: baseline={base_info[name]:.0f} "
-                  f"(absent in current)")
-        elif name not in base_info:
-            print(f"info     {name}: {cur_info[name]:.0f} (no baseline)")
-        else:
-            base_value, value = base_info[name], cur_info[name]
-            delta = ((value - base_value) / base_value
-                     if base_value else float("inf") if value else 0.0)
-            print(f"info     {name}: baseline={base_value:.0f} "
-                  f"current={value:.0f} ({delta:+.1%})")
 
     if regressions:
         print(f"{regressions} metric(s) regressed more than "

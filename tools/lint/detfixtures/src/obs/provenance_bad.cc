@@ -3,8 +3,9 @@
 // The iteration order is the hash layout, so the combined blast-radius
 // rollup — which is what reaches the attribution digest section — depends on
 // pointer/seed accidents instead of being a pure function of (seed, config).
-// The per-shard aggregation-root rule (Shard*::totals / Shard*::Merge* are
-// sinks) must catch it even though no Snapshot/Digest name appears here.
+// The aggregation-sink rule (`::Merge` is a sink root, the way
+// obs::AttributionMatrix::Merge is) must catch it even though no
+// Snapshot/Digest name appears here.
 //
 // det-expect: unordered-in-output
 
@@ -14,23 +15,22 @@
 
 namespace iri::obs {
 
-class FxShardProvenanceTally {
+class FxProvenanceTally {
  public:
   void Record(std::uint32_t cause_id, std::uint64_t updates) {
     per_cause_[cause_id] += updates;
   }
-  std::vector<std::uint64_t> totals() const;
+  // Folds the per-cause tallies into `rollup`.
+  void Merge(std::vector<std::uint64_t>& rollup) const;
 
  private:
   std::unordered_map<std::uint32_t, std::uint64_t> per_cause_;
 };
 
-std::vector<std::uint64_t> FxShardProvenanceTally::totals() const {
-  std::vector<std::uint64_t> out;
+void FxProvenanceTally::Merge(std::vector<std::uint64_t>& rollup) const {
   for (const auto& kv : per_cause_) {
-    out.push_back(kv.second);
+    rollup.push_back(kv.second);
   }
-  return out;
 }
 
 }  // namespace iri::obs

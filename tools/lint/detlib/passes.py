@@ -62,13 +62,6 @@ class DetConfig:
         r"|Append|Flush|Merge|FormatCategoryReport|FormatTable)$")
     sink_file_re: re.Pattern = re.compile(
         r"^src/(mrt/|obs/trace\.|obs/timeseries\.|core/(report|snapshot)\.)")
-    # Per-shard aggregation roots (DESIGN.md §13): members of sharded
-    # (per-shard state-holding) types that merge shard-local state into the
-    # combined answer. Merged totals feed digests, so iterating an unordered
-    # container keyed by shard during the merge is hash-order-dependent
-    # output even though no Snapshot/Digest name appears in the chain.
-    shard_merge_name_re: re.Pattern = re.compile(
-        r"Shard\w*::(totals|total_events|Merge\w*|Combined\w*)$")
     # Sink roots are only meaningful in these layers; a `Flush` on some
     # simulator buffer is not an output sink. The fixture prefix keeps
     # --must-flag working on the analyzer's own gap fixtures (ordinary repo
@@ -132,9 +125,8 @@ def sink_roots(model: Model, cfg: DetConfig) -> list[FunctionInfo]:
     for fn in model.iter_functions():
         in_sink_file = bool(cfg.sink_file_re.search(fn.file))
         name_hit = bool(cfg.sink_name_re.search("::" + fn.qname))
-        shard_hit = bool(cfg.shard_merge_name_re.search(fn.qname))
         dir_ok = fn.file.startswith(tuple(cfg.sink_root_dirs))
-        if in_sink_file or ((name_hit or shard_hit) and dir_ok):
+        if in_sink_file or (name_hit and dir_ok):
             roots.append(fn)
     return roots
 
