@@ -10,10 +10,11 @@ constexpr std::uint8_t kFlagOptional = 0x80;
 constexpr std::uint8_t kFlagTransitive = 0x40;
 constexpr std::uint8_t kFlagExtendedLength = 0x10;
 
-// Emits one attribute TLV: flags, type, length (1 or 2 bytes), body.
-void EmitAttr(ByteWriter& out, std::uint8_t flags, AttrType type,
-              const ByteWriter& body) {
-  const std::size_t len = body.size();
+// Emits one attribute TLV header: flags, type, length (1 or 2 bytes). The
+// caller writes the `len`-byte body straight after it, so no per-attribute
+// body buffer is built.
+void EmitAttrHeader(ByteWriter& out, std::uint8_t flags, AttrType type,
+                    std::size_t len) {
   if (len > 255) flags |= kFlagExtendedLength;
   out.U8(flags);
   out.U8(static_cast<std::uint8_t>(type));
@@ -22,7 +23,12 @@ void EmitAttr(ByteWriter& out, std::uint8_t flags, AttrType type,
   } else {
     out.U8(static_cast<std::uint8_t>(len));
   }
-  out.Bytes(body.data());
+}
+
+std::size_t AsPathWireSize(const AsPath& path) {
+  std::size_t len = 0;
+  for (const auto& seg : path.segments()) len += 2 + 2 * seg.asns.size();
+  return len;
 }
 
 void EncodeAsPath(const AsPath& path, ByteWriter& body) {
@@ -33,71 +39,72 @@ void EncodeAsPath(const AsPath& path, ByteWriter& body) {
   }
 }
 
-AsPath DecodeAsPath(ByteReader& in, std::size_t len) {
-  AsPath path;
+// Decodes into `path`, reusing its segment and ASN buffers: the receive
+// path decodes every inbound UPDATE into one scratch attribute set.
+void DecodeAsPathInto(ByteReader& in, std::size_t len, AsPath& path) {
+  std::vector<AsPathSegment>& segs = path.segments();
+  std::size_t n = 0;
   const std::size_t end = in.position() + len;
   while (in.ok() && in.position() < end) {
-    AsPathSegment seg;
     const std::uint8_t type = in.U8();
     if (type != static_cast<std::uint8_t>(AsPathSegment::Type::kSet) &&
         type != static_cast<std::uint8_t>(AsPathSegment::Type::kSequence)) {
       in.MarkBad();
-      return path;
+      break;
     }
+    if (n == segs.size()) segs.emplace_back();
+    AsPathSegment& seg = segs[n++];
     seg.type = static_cast<AsPathSegment::Type>(type);
+    seg.asns.clear();
     const std::uint8_t count = in.U8();
     seg.asns.reserve(count);
     for (std::uint8_t i = 0; i < count; ++i) seg.asns.push_back(in.U16());
-    path.segments().push_back(std::move(seg));
   }
-  if (in.position() != end) in.MarkBad();
-  return path;
+  segs.resize(n);
+  if (in.ok() && in.position() != end) in.MarkBad();
 }
 
 }  // namespace
 
 void EncodeAttributes(const PathAttributes& attrs, ByteWriter& out) {
-  {  // ORIGIN: well-known mandatory.
-    ByteWriter body;
-    body.U8(static_cast<std::uint8_t>(attrs.origin));
-    EmitAttr(out, kFlagTransitive, AttrType::kOrigin, body);
-  }
-  {  // AS_PATH: well-known mandatory (may be zero segments for local routes).
-    ByteWriter body;
-    EncodeAsPath(attrs.as_path, body);
-    EmitAttr(out, kFlagTransitive, AttrType::kAsPath, body);
-  }
-  {  // NEXT_HOP: well-known mandatory.
-    ByteWriter body;
-    body.U32(attrs.next_hop.bits());
-    EmitAttr(out, kFlagTransitive, AttrType::kNextHop, body);
-  }
+  // ORIGIN, AS_PATH, NEXT_HOP: well-known mandatory (the path may have zero
+  // segments for local routes).
+  EmitAttrHeader(out, kFlagTransitive, AttrType::kOrigin, 1);
+  out.U8(static_cast<std::uint8_t>(attrs.origin));
+  EmitAttrHeader(out, kFlagTransitive, AttrType::kAsPath,
+                 AsPathWireSize(attrs.as_path));
+  EncodeAsPath(attrs.as_path, out);
+  EmitAttrHeader(out, kFlagTransitive, AttrType::kNextHop, 4);
+  out.U32(attrs.next_hop.bits());
   if (attrs.med) {  // optional non-transitive
-    ByteWriter body;
-    body.U32(*attrs.med);
-    EmitAttr(out, kFlagOptional, AttrType::kMultiExitDisc, body);
+    EmitAttrHeader(out, kFlagOptional, AttrType::kMultiExitDisc, 4);
+    out.U32(*attrs.med);
   }
   if (attrs.local_pref) {  // well-known discretionary
-    ByteWriter body;
-    body.U32(*attrs.local_pref);
-    EmitAttr(out, kFlagTransitive, AttrType::kLocalPref, body);
+    EmitAttrHeader(out, kFlagTransitive, AttrType::kLocalPref, 4);
+    out.U32(*attrs.local_pref);
   }
   if (attrs.atomic_aggregate) {  // well-known discretionary, empty body
-    ByteWriter body;
-    EmitAttr(out, kFlagTransitive, AttrType::kAtomicAggregate, body);
+    EmitAttrHeader(out, kFlagTransitive, AttrType::kAtomicAggregate, 0);
   }
   if (attrs.aggregator) {  // optional transitive
-    ByteWriter body;
-    body.U16(static_cast<std::uint16_t>(attrs.aggregator->asn));
-    body.U32(attrs.aggregator->router_id.bits());
-    EmitAttr(out, kFlagOptional | kFlagTransitive, AttrType::kAggregator, body);
+    EmitAttrHeader(out, kFlagOptional | kFlagTransitive, AttrType::kAggregator,
+                   6);
+    out.U16(static_cast<std::uint16_t>(attrs.aggregator->asn));
+    out.U32(attrs.aggregator->router_id.bits());
   }
   if (!attrs.communities.empty()) {  // optional transitive (RFC 1997)
-    ByteWriter body;
-    std::vector<Community> sorted = attrs.communities;
-    std::sort(sorted.begin(), sorted.end());
-    for (Community c : sorted) body.U32(c);
-    EmitAttr(out, kFlagOptional | kFlagTransitive, AttrType::kCommunity, body);
+    EmitAttrHeader(out, kFlagOptional | kFlagTransitive, AttrType::kCommunity,
+                   4 * attrs.communities.size());
+    // Canonical form is sorted; every producer in the tree already keeps
+    // them sorted, so the copy is only made for an unsorted set.
+    if (std::is_sorted(attrs.communities.begin(), attrs.communities.end())) {
+      for (Community c : attrs.communities) out.U32(c);
+    } else {
+      std::vector<Community> sorted = attrs.communities;
+      std::sort(sorted.begin(), sorted.end());
+      for (Community c : sorted) out.U32(c);
+    }
   }
 }
 
@@ -110,6 +117,7 @@ PathAttributes DecodeAttributes(ByteReader& in, std::size_t total_len) {
 void DecodeAttributesInto(ByteReader& in, std::size_t total_len,
                           PathAttributes& attrs) {
   const std::size_t end = in.position() + total_len;
+  bool saw_path = false;
   while (in.ok() && in.position() < end) {
     const std::uint8_t flags = in.U8();
     const std::uint8_t type = in.U8();
@@ -125,7 +133,8 @@ void DecodeAttributesInto(ByteReader& in, std::size_t total_len,
         break;
       }
       case AttrType::kAsPath:
-        attrs.as_path = DecodeAsPath(in, len);
+        DecodeAsPathInto(in, len, attrs.as_path);
+        saw_path = true;
         break;
       case AttrType::kNextHop:
         attrs.next_hop = IPv4Address(in.U32());
@@ -166,7 +175,9 @@ void DecodeAttributesInto(ByteReader& in, std::size_t total_len,
     }
   }
   if (in.position() != end) in.MarkBad();
-  return;
+  // ResetForDecode leaves the path's buffers for the decode above to reuse;
+  // a block without AS_PATH still yields the empty default.
+  if (!saw_path) attrs.as_path.segments().clear();
 }
 
 std::string PathAttributes::ToString() const {

@@ -65,11 +65,12 @@ struct PathAttributes {
   friend bool operator==(const PathAttributes&, const PathAttributes&) = default;
 
   // Restores the default-constructed state while keeping the communities
-  // buffer's capacity — decode-scratch support for the router's receive
-  // path, which reuses one PathAttributes across every inbound UPDATE.
+  // and AS-path buffers' capacity — decode-scratch support for the router's
+  // receive path, which reuses one PathAttributes across every inbound
+  // UPDATE. The path is left in place: DecodeAttributesInto overwrites it
+  // (or empties it when the block carries no AS_PATH).
   void ResetForDecode() {
     origin = Origin::kIgp;
-    as_path = AsPath{};
     next_hop = IPv4Address{};
     med.reset();
     local_pref.reset();
@@ -90,7 +91,7 @@ void EncodeAttributes(const PathAttributes& attrs, ByteWriter& out);
 PathAttributes DecodeAttributes(ByteReader& in, std::size_t total_len);
 
 // In-place variant: decodes into `attrs`, which the caller must have reset
-// (ResetForDecode or fresh). Reuses the communities buffer.
+// (ResetForDecode or fresh). Reuses the communities and AS-path buffers.
 void DecodeAttributesInto(ByteReader& in, std::size_t total_len,
                           PathAttributes& attrs);
 

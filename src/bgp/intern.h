@@ -48,8 +48,11 @@ class AsPathTable {
  public:
   // Pre-size the probe table: a border router at paper scale sees a few
   // hundred to a few thousand distinct paths, and rehashing mid-run is pure
-  // overhead (bucket order is inert either way).
-  AsPathTable() { lookup_.reserve(1024); }
+  // overhead (bucket order is inert either way). Small tables (a router's
+  // exported sets) pass a small figure instead.
+  explicit AsPathTable(std::size_t expected = 1024) {
+    lookup_.reserve(expected);
+  }
   AsPathTable(const AsPathTable&) = delete;
   AsPathTable& operator=(const AsPathTable&) = delete;
 
@@ -97,7 +100,10 @@ class AsPathTable {
 // policy-fluctuation split becomes two integer compares.
 class PathAttributesTable {
  public:
-  PathAttributesTable() { lookup_.reserve(1024); }
+  explicit PathAttributesTable(std::size_t expected = 1024)
+      : paths_(expected) {
+    lookup_.reserve(expected);
+  }
   PathAttributesTable(const PathAttributesTable&) = delete;
   PathAttributesTable& operator=(const PathAttributesTable&) = delete;
 

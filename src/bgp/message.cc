@@ -6,8 +6,22 @@ namespace iri::bgp {
 namespace {
 
 // All-ones marker required by RFC 1163 (pre-authentication era).
-void WriteMarker(ByteWriter& out) {
-  for (int i = 0; i < 16; ++i) out.U8(0xFF);
+constexpr std::uint8_t kMarker[16] = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                      0xFF, 0xFF, 0xFF, 0xFF};
+
+// Writes marker, a length placeholder and the type; returns the offset of
+// the length field for the caller to back-patch once the body is written.
+std::size_t BeginMessage(MessageType type, ByteWriter& out) {
+  out.Bytes(kMarker);
+  const std::size_t length_at = out.size();
+  out.U16(0);
+  out.U8(static_cast<std::uint8_t>(type));
+  return length_at;
+}
+
+void EndMessage(std::size_t length_at, std::size_t start, ByteWriter& out) {
+  out.PatchU16(length_at, static_cast<std::uint16_t>(out.size() - start));
 }
 
 bool ReadAndCheckMarker(ByteReader& in) {
@@ -17,12 +31,14 @@ bool ReadAndCheckMarker(ByteReader& in) {
                      [](std::uint8_t b) { return b == 0xFF; });
 }
 
-void EncodeUpdateBody(const UpdateMessage& u, ByteWriter& out) {
+void EncodeUpdateBody(std::span<const Prefix> withdrawn,
+                      const PathAttributes* attributes,
+                      std::span<const Prefix> nlri, ByteWriter& out) {
   // Withdrawn routes, preceded by their byte length (back-patched).
   const std::size_t withdrawn_len_at = out.size();
   out.U16(0);
   const std::size_t withdrawn_start = out.size();
-  for (const Prefix& p : u.withdrawn) EncodeNlriPrefix(p, out);
+  for (const Prefix& p : withdrawn) EncodeNlriPrefix(p, out);
   out.PatchU16(withdrawn_len_at,
                static_cast<std::uint16_t>(out.size() - withdrawn_start));
 
@@ -30,24 +46,24 @@ void EncodeUpdateBody(const UpdateMessage& u, ByteWriter& out) {
   // attributes are omitted entirely when there is no NLRI.
   const std::size_t attrs_len_at = out.size();
   out.U16(0);
-  if (!u.nlri.empty()) {
+  if (!nlri.empty()) {
     const std::size_t attrs_start = out.size();
-    EncodeAttributes(u.attributes, out);
+    EncodeAttributes(*attributes, out);
     out.PatchU16(attrs_len_at,
                  static_cast<std::uint16_t>(out.size() - attrs_start));
   }
 
-  for (const Prefix& p : u.nlri) EncodeNlriPrefix(p, out);
+  for (const Prefix& p : nlri) EncodeNlriPrefix(p, out);
 }
 
-// Writes the decoded body into `u`, whose buffers (withdrawn/nlri/
+// Writes the decoded body into `u`, whose buffers (withdrawn/nlri/path/
 // communities) keep their capacity — the router's receive path reuses one
-// UpdateMessage across every inbound UPDATE.
+// UpdateMessage across every inbound UPDATE. A fresh `u` decodes exactly as
+// Decode() does.
 void DecodeUpdateBodyInto(ByteReader& in, std::size_t body_len,
                           UpdateMessage& u) {
   u.withdrawn.clear();
   u.nlri.clear();
-  u.attributes.ResetForDecode();
   const std::size_t end = in.position() + body_len;
 
   const std::uint16_t withdrawn_len = in.U16();
@@ -59,8 +75,13 @@ void DecodeUpdateBodyInto(ByteReader& in, std::size_t body_len,
   }
   if (in.position() != withdrawn_end) in.MarkBad();
 
+  // A withdrawal-only UPDATE (no attribute block) leaves `u.attributes`
+  // as the previous decode left it: they mean nothing without NLRI, and
+  // resetting them would free the path buffers the next announcement
+  // decodes into.
   const std::uint16_t attrs_len = in.U16();
   if (attrs_len > 0) {
+    u.attributes.ResetForDecode();
     DecodeAttributesInto(in, attrs_len, u.attributes);
   }
 
@@ -122,11 +143,13 @@ std::vector<std::uint8_t> Encode(const Message& msg) {
   } else {
     out.Reserve(kHeaderSize + 16);
   }
-  WriteMarker(out);
-  const std::size_t length_at = out.size();
-  out.U16(0);
-  out.U8(static_cast<std::uint8_t>(TypeOf(msg)));
+  EncodeInto(msg, out);
+  return std::move(out).Take();
+}
 
+void EncodeInto(const Message& msg, ByteWriter& out) {
+  const std::size_t start = out.size();
+  const std::size_t length_at = BeginMessage(TypeOf(msg), out);
   std::visit(
       [&out](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -137,7 +160,7 @@ std::vector<std::uint8_t> Encode(const Message& msg) {
           out.U32(m.bgp_identifier.bits());
           out.U8(0);  // no optional parameters
         } else if constexpr (std::is_same_v<T, UpdateMessage>) {
-          EncodeUpdateBody(m, out);
+          EncodeUpdateBody(m.withdrawn, &m.attributes, m.nlri, out);
         } else if constexpr (std::is_same_v<T, NotificationMessage>) {
           out.U8(static_cast<std::uint8_t>(m.code));
           out.U8(m.subcode);
@@ -146,9 +169,16 @@ std::vector<std::uint8_t> Encode(const Message& msg) {
         }
       },
       msg);
+  EndMessage(length_at, start, out);
+}
 
-  out.PatchU16(length_at, static_cast<std::uint16_t>(out.size()));
-  return std::move(out).Take();
+void EncodeUpdate(std::span<const Prefix> withdrawn,
+                  const PathAttributes* attributes,
+                  std::span<const Prefix> nlri, ByteWriter& out) {
+  const std::size_t start = out.size();
+  const std::size_t length_at = BeginMessage(MessageType::kUpdate, out);
+  EncodeUpdateBody(withdrawn, attributes, nlri, out);
+  EndMessage(length_at, start, out);
 }
 
 bool DecodeUpdateInto(std::span<const std::uint8_t> wire, UpdateMessage& out) {
@@ -213,17 +243,20 @@ std::optional<Message> Decode(std::span<const std::uint8_t> wire) {
   return msg;
 }
 
-std::size_t EstimateUpdateSize(const UpdateMessage& update) {
-  // Header + two length fields + 5 bytes/prefix (worst case) + generous
-  // attribute bound (fixed attrs + path + communities).
-  std::size_t attrs = 0;
-  if (!update.nlri.empty()) {
-    attrs = 32;
-    for (const auto& seg : update.attributes.as_path.segments()) {
-      attrs += 2 + 2 * seg.asns.size();
-    }
-    attrs += 4 * update.attributes.communities.size();
+std::size_t EstimateAttributesSize(const PathAttributes& attributes) {
+  // Generous bound: fixed attrs + path + communities.
+  std::size_t attrs = 32;
+  for (const auto& seg : attributes.as_path.segments()) {
+    attrs += 2 + 2 * seg.asns.size();
   }
+  return attrs + 4 * attributes.communities.size();
+}
+
+std::size_t EstimateUpdateSize(const UpdateMessage& update) {
+  // Header + two length fields + 5 bytes/prefix (worst case) + the
+  // attribute bound when there is NLRI.
+  const std::size_t attrs =
+      update.nlri.empty() ? 0 : EstimateAttributesSize(update.attributes);
   return kHeaderSize + 4 + 5 * (update.withdrawn.size() + update.nlri.size()) +
          attrs;
 }

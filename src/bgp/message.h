@@ -86,15 +86,29 @@ std::string ToString(const Message& msg);
 // for splitting over-large UPDATEs beforehand.
 std::vector<std::uint8_t> Encode(const Message& msg);
 
+// Appends the encoded message to `out` — the allocation-free form of
+// Encode for a caller that reuses one writer across messages.
+void EncodeInto(const Message& msg, ByteWriter& out);
+
+// Appends one UPDATE, header included, straight from its parts: no
+// UpdateMessage is built. `attributes` is read only when `nlri` is
+// non-empty (it may be null otherwise). Encode() of the equivalent
+// UpdateMessage produces the same bytes.
+void EncodeUpdate(std::span<const Prefix> withdrawn,
+                  const PathAttributes* attributes,
+                  std::span<const Prefix> nlri, ByteWriter& out);
+
 // Decodes one message from `wire`. Returns nullopt on any framing or
 // semantic error (bad marker, bad length, truncated body, unknown type).
 std::optional<Message> Decode(std::span<const std::uint8_t> wire);
 
 // Decode-scratch fast path for the dominant wire type: decodes an UPDATE
-// into `out`, reusing its withdrawn/nlri/communities buffers instead of
-// allocating fresh ones per message. Returns false for non-UPDATE messages
-// and for anything Decode() would reject; `out` may then hold partial
-// contents and must not be read. Validation mirrors Decode() exactly.
+// into `out`, reusing its withdrawn/nlri/path/communities buffers instead
+// of allocating fresh ones per message. Returns false for non-UPDATE
+// messages and for anything Decode() would reject; `out` may then hold
+// partial contents and must not be read. Validation mirrors Decode()
+// exactly. An UPDATE without an attribute block (withdrawals only) leaves
+// `out.attributes` untouched: they are meaningful only with NLRI.
 bool DecodeUpdateInto(std::span<const std::uint8_t> wire, UpdateMessage& out);
 
 // Prefix <-> NLRI wire helpers, shared with the MRT log codec.
@@ -104,5 +118,10 @@ std::optional<Prefix> DecodeNlriPrefix(ByteReader& in);
 // Conservative bound on the encoded size of an UPDATE with the given
 // contents; the update packer uses it to split messages at 4096 bytes.
 std::size_t EstimateUpdateSize(const UpdateMessage& update);
+
+// The attribute part of EstimateUpdateSize for a message carrying
+// `attributes` with non-empty NLRI; the packer computes it once per
+// interned attribute set.
+std::size_t EstimateAttributesSize(const PathAttributes& attributes);
 
 }  // namespace iri::bgp

@@ -2,83 +2,154 @@
 
 #include <algorithm>
 
-namespace iri::bgp {
+#include "netbase/scratch.h"
 
-std::vector<UpdateMessage> PackUpdates(std::span<const RouteOp> ops,
-                                       std::vector<obs::CauseVec>* causes) {
-  std::vector<UpdateMessage> out;
-  std::vector<obs::CauseVec> out_causes;  // parallel to out when requested
+namespace iri::bgp {
+namespace {
+
+// Messages close once their size estimate passes this bound (a margin
+// under the 4096-byte maximum for the estimate's slack).
+constexpr std::size_t kPackLimit = kMaxMessageSize - 64;
+// Header plus the two length fields: the estimate of an empty UPDATE.
+constexpr std::size_t kFixedEstimate = kHeaderSize + 4;
+// Scratch kept across batches. A full-table dump packs tens of thousands
+// of ops; keeping that capacity in every router for the rest of the run
+// would cost more memory than the reallocation it saves.
+constexpr std::size_t kRetainPrefixes = 1024;
+constexpr std::size_t kRetainMessages = 64;
+constexpr std::size_t kRetainCauses = 64;
+
+}  // namespace
+
+std::size_t UpdatePacker::AttrEstimate(AttrSetId id,
+                                       const PathAttributesTable& sets) {
+  if (&sets != estimates_for_) {  // a packer may be pointed at a new table
+    attr_estimate_.clear();
+    estimates_for_ = &sets;
+  }
+  if (id >= attr_estimate_.size()) attr_estimate_.resize(sets.size(), 0);
+  std::uint32_t& est = attr_estimate_[id];
+  if (est == 0) {
+    est = static_cast<std::uint32_t>(EstimateAttributesSize(sets.Get(id)));
+  }
+  return est;
+}
+
+void UpdatePacker::ReleaseOversize() {
+  ClearRetaining(withdrawn_, kRetainPrefixes);
+  ClearRetaining(nlri_, kRetainPrefixes);
+  ClearRetaining(op_msg_, kRetainPrefixes);
+  ClearRetaining(msgs_, kRetainMessages);
+  if (causes_.size() > kRetainMessages) causes_.resize(kRetainMessages);
+}
+
+void UpdatePacker::Pack(std::span<const RouteOp> ops,
+                        const PathAttributesTable& sets) {
+  ReleaseOversize();
+  // Opens message k, recycling its cause slot.
+  const auto open = [this](AttrSetId attrs) {
+    const std::size_t k = msgs_.size();
+    msgs_.push_back(Packed{});
+    msgs_.back().attrs = attrs;
+    if (k == causes_.size()) {
+      causes_.emplace_back();
+    } else {
+      ClearRetaining(causes_[k], kRetainCauses);
+    }
+  };
 
   // Withdrawals first, packed densely (matches observed router behaviour:
   // the paper's multi-million-withdrawal days arrived as packed UPDATEs).
   // The cause sideband mirrors each message's withdrawn list op for op.
-  UpdateMessage withdrawals;
-  obs::CauseVec withdrawal_causes;
+  bool withdrawals_open = false;
   for (const RouteOp& op : ops) {
     if (!op.IsWithdraw()) continue;
-    withdrawals.withdrawn.push_back(op.prefix);
-    if (causes != nullptr) withdrawal_causes.push_back(op.cause);
-    if (EstimateUpdateSize(withdrawals) > kMaxMessageSize - 64) {
-      out.push_back(std::move(withdrawals));
-      withdrawals = {};
-      if (causes != nullptr) {
-        out_causes.push_back(std::move(withdrawal_causes));
-        withdrawal_causes = {};
-      }
+    if (!withdrawals_open) {
+      open(kInvalidAttrSetId);
+      msgs_.back().withdrawn_begin =
+          static_cast<std::uint32_t>(withdrawn_.size());
+      withdrawals_open = true;
+    }
+    withdrawn_.push_back(op.prefix);
+    causes_[msgs_.size() - 1].push_back(op.cause);
+    const std::uint32_t n = ++msgs_.back().withdrawn_count;
+    if (kFixedEstimate + 5 * std::size_t{n} > kPackLimit) {
+      withdrawals_open = false;
     }
   }
-  if (!withdrawals.withdrawn.empty()) {
-    out.push_back(std::move(withdrawals));
-    if (causes != nullptr) out_causes.push_back(std::move(withdrawal_causes));
-  }
 
-  // Announcements grouped by identical attribute sets. Order within a group
-  // follows arrival order; groups are emitted in order of first appearance.
-  // Grouping reorders ops relative to the input, so the sideband is built
-  // here, one slot per NLRI prefix, in the same order.
-  std::vector<UpdateMessage> groups;
-  std::vector<obs::CauseVec> group_causes;
+  // Announcements grouped by attribute set, in order of first appearance;
+  // order within a message follows arrival order. Pass 1 assigns each op
+  // its message and counts; pass 2 scatters prefixes and causes into each
+  // message's contiguous range.
+  const std::size_t first_group = msgs_.size();
   for (const RouteOp& op : ops) {
     if (op.IsWithdraw()) continue;
-    std::size_t group_index = groups.size();
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (groups[i].attributes == *op.attributes &&
-          EstimateUpdateSize(groups[i]) < kMaxMessageSize - 64) {
-        group_index = i;
-        break;
-      }
+    const AttrSetId id = op.attrs;
+    if (id >= open_msg_.size()) open_msg_.resize(std::size_t{id} + 1, 0);
+    std::uint32_t m = open_msg_[id];
+    if (m == 0) touched_.push_back(id);
+    if (m == 0 || kFixedEstimate + 5 * std::size_t{msgs_[m - 1].nlri_count} +
+                          AttrEstimate(id, sets) >=
+                      kPackLimit) {
+      open(id);
+      m = static_cast<std::uint32_t>(msgs_.size());
+      open_msg_[id] = m;
     }
-    if (group_index == groups.size()) {
-      groups.push_back({});
-      groups.back().attributes = *op.attributes;
-      if (causes != nullptr) group_causes.emplace_back();
-    }
-    groups[group_index].nlri.push_back(op.prefix);
-    if (causes != nullptr) group_causes[group_index].push_back(op.cause);
+    ++msgs_[m - 1].nlri_count;
+    op_msg_.push_back(m - 1);
   }
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    out.push_back(std::move(groups[i]));
-    if (causes != nullptr) out_causes.push_back(std::move(group_causes[i]));
+  for (AttrSetId id : touched_) open_msg_[id] = 0;
+  touched_.clear();
+
+  std::uint32_t offset = 0;
+  for (std::size_t k = first_group; k < msgs_.size(); ++k) {
+    msgs_[k].nlri_begin = offset;
+    offset += msgs_[k].nlri_count;
+    msgs_[k].nlri_count = 0;  // refilled by the scatter below
   }
-  if (causes != nullptr) *causes = std::move(out_causes);
-  return out;
+  nlri_.resize(offset);
+  std::size_t j = 0;
+  for (const RouteOp& op : ops) {
+    if (op.IsWithdraw()) continue;
+    const std::uint32_t k = op_msg_[j++];
+    nlri_[msgs_[k].nlri_begin + msgs_[k].nlri_count++] = op.prefix;
+    causes_[k].push_back(op.cause);
+  }
 }
 
-void OutboundQueue::Enqueue(TimePoint now, RouteOp op) {
+void UpdatePacker::Encode(std::size_t m, const PathAttributesTable& sets,
+                          ByteWriter& out) const {
+  const AttrSetId id = msgs_[m].attrs;
+  EncodeUpdate(withdrawn(m), id == kInvalidAttrSetId ? nullptr : &sets.Get(id),
+               nlri(m), out);
+}
+
+UpdateMessage UpdatePacker::ToMessage(std::size_t m,
+                                      const PathAttributesTable& sets) const {
+  UpdateMessage msg;
+  msg.withdrawn.assign(withdrawn(m).begin(), withdrawn(m).end());
+  msg.nlri.assign(nlri(m).begin(), nlri(m).end());
+  if (msgs_[m].attrs != kInvalidAttrSetId) {
+    msg.attributes = sets.Get(msgs_[m].attrs);
+  }
+  return msg;
+}
+
+void OutboundQueue::Enqueue(TimePoint now, const RouteOp& op) {
   if (pending_.empty()) deadline_ = ComputeDeadline(now);
   auto [slot, inserted] = index_.TryEmplace(op.prefix);
   if (inserted) {
     *slot = static_cast<std::uint32_t>(pending_.size());
-    pending_.push_back(std::move(op));
+    pending_.push_back(op);
   } else {
     // Latest wins, keeping the original order slot; an announcement that
     // supersedes a queued withdrawal remembers it (see RouteOp).
     RouteOp& prior = pending_[*slot];
-    if (!op.IsWithdraw() &&
-        (prior.IsWithdraw() || prior.withdraw_preceded)) {
-      op.withdraw_preceded = true;
-    }
-    prior = std::move(op);
+    const bool preceded =
+        !op.IsWithdraw() && (prior.IsWithdraw() || prior.withdraw_preceded);
+    prior = op;
+    if (preceded) prior.withdraw_preceded = true;
   }
 }
 
@@ -95,13 +166,12 @@ TimePoint OutboundQueue::ComputeDeadline(TimePoint now) {
   return now + config_.interval * spread;
 }
 
-std::vector<RouteOp> OutboundQueue::Flush(TimePoint now) {
-  if (pending_.empty() || now < deadline_) return {};
+void OutboundQueue::Flush(TimePoint now, std::vector<RouteOp>& out) {
+  out.clear();
+  if (pending_.empty() || now < deadline_) return;
   deadline_ = TimePoint::Max();
   index_.Clear();
-  std::vector<RouteOp> ops;
-  ops.swap(pending_);  // already in first-enqueue order
-  return ops;
+  out.swap(pending_);  // already in first-enqueue order
 }
 
 }  // namespace iri::bgp

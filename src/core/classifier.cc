@@ -1,6 +1,7 @@
 #include "core/classifier.h"
 
 #include <numeric>
+#include <ostream>
 #include <utility>
 
 #include "core/invariants.h"
@@ -29,6 +30,8 @@ const char* ToString(Category c) {
   }
   return "?";
 }
+
+void PrintTo(Category c, std::ostream* os) { *os << ToString(c); }
 
 ClassifiedEvent Classifier::Classify(UpdateEvent ev) {
   const Verdict v = ClassifyVerdict(ev);

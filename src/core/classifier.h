@@ -25,6 +25,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iosfwd>
 
 #include "bgp/intern.h"
 #include "core/event.h"
@@ -45,6 +46,9 @@ enum class Category : std::uint8_t {
 inline constexpr std::size_t kNumCategories = 7;
 
 const char* ToString(Category c);
+// Prints ToString(c) ("WWDup"): what gtest shows for a Category in a failed
+// assertion, instead of the enum's raw byte.
+void PrintTo(Category c, std::ostream* os);
 
 // True for the classes the paper calls "instability" (forwarding
 // instability + possible pathology WADup).

@@ -22,7 +22,9 @@ struct UpdateEvent {
   bgp::Asn peer_asn = 0;  // AS of the announcing border router
   bool is_withdraw = false;
   Prefix prefix;
-  bgp::PathAttributes attributes;  // meaningful only when !is_withdraw
+  // Meaningful only when !is_withdraw: ExplodeUpdateReuse leaves whatever
+  // a recycled withdrawal slot held, so its buffers serve the next announce.
+  bgp::PathAttributes attributes;
   // Provenance sideband: the injected root cause this event descends from
   // (null for MRT replay and untagged senders; zero bytes when compiled out).
   [[no_unique_address]] obs::CauseTag cause{};
@@ -41,7 +43,6 @@ inline std::size_t ExplodeUpdateReuse(TimePoint now, bgp::PeerId peer,
                                       const bgp::UpdateMessage& update,
                                       std::vector<UpdateEvent>& out,
                                       const obs::CauseVec& causes = {}) {
-  static const bgp::PathAttributes kEmptyAttrs;
   const std::size_t total = update.withdrawn.size() + update.nlri.size();
   if (out.size() < total) out.resize(total);
   std::size_t n = 0;
@@ -54,9 +55,8 @@ inline std::size_t ExplodeUpdateReuse(TimePoint now, bgp::PeerId peer,
     ev.peer_asn = peer_asn;
     ev.is_withdraw = true;
     ev.prefix = w;
-    // Copy-assign from the shared empty set (not a fresh temporary) so the
-    // slot's buffer capacity survives for the next announce to land in.
-    ev.attributes = kEmptyAttrs;
+    // attributes untouched: resetting them would free the AS-path buffers
+    // the next announce landing in this slot can reuse.
     ev.cause = n < causes.size() ? causes[n] : obs::CauseTag{};
     ++n;
   }

@@ -49,6 +49,9 @@ class ByteWriter {
     buf_[offset + 1] = static_cast<std::uint8_t>(v);
   }
 
+  // Empties the buffer, keeping its capacity (a reused per-router writer).
+  void Clear() { buf_.clear(); }
+
   std::size_t size() const { return buf_.size(); }
   const std::vector<std::uint8_t>& data() const { return buf_; }
   std::vector<std::uint8_t> Take() && { return std::move(buf_); }

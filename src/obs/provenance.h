@@ -109,6 +109,7 @@ class CauseVec {
   void push_back(const CauseTag&) {}
   bool empty() const { return true; }
   std::size_t size() const { return 0; }
+  std::size_t capacity() const { return 0; }
   CauseTag operator[](std::size_t) const { return {}; }
 };
 

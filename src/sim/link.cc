@@ -1,5 +1,7 @@
 #include "sim/link.h"
 
+#include "netbase/scratch.h"
+
 namespace iri::sim {
 
 void Link::AttachObservability(obs::Registry* registry, obs::Tracer* tracer,
@@ -38,10 +40,22 @@ void Link::Fail() {
   if (b_.endpoint) b_.endpoint->OnTransportDown(b_.peer_id);
 }
 
-void Link::Send(const LinkEndpoint* from, std::vector<std::uint8_t> bytes,
-                obs::CauseVec causes) {
+namespace {
+
+// Buffers kept for reuse after a delivery. The bootstrap burst (full-table
+// dumps of 4 KiB UPDATEs) would otherwise pin its peak in every slot for
+// the rest of the run; steady-state messages fit well under these.
+constexpr std::size_t kRetainBytes = 1024;
+constexpr std::size_t kRetainCauses = 64;
+constexpr std::size_t kRetainSlots = 64;
+
+}  // namespace
+
+void Link::Send(const LinkEndpoint* from, std::span<const std::uint8_t> bytes,
+                const obs::CauseVec& causes) {
   if (!up_) return;
-  const Side& dst = (from == a_.endpoint) ? b_ : a_;
+  const int dir = from == a_.endpoint ? 0 : 1;
+  const Side& dst = dir == 0 ? b_ : a_;
   if (dst.endpoint == nullptr) return;
   ++messages_carried_;
   bytes_carried_ += bytes.size();
@@ -49,12 +63,52 @@ void Link::Send(const LinkEndpoint* from, std::vector<std::uint8_t> bytes,
     messages_metric_->Add(1);
     bytes_metric_->Add(bytes.size());
   }
-  const std::uint64_t epoch = epoch_;
-  sched_.After(latency_, [this, dst, epoch, data = std::move(bytes),
-                          tags = std::move(causes)]() mutable {
-    if (epoch != epoch_ || !up_) return;  // carrier dropped in flight
-    dst.endpoint->OnWireData(dst.peer_id, std::move(data), std::move(tags));
-  });
+  Direction& d = dirs_[dir];
+  if (d.count == d.ring.size()) {
+    // Full: grow, unrolling the ring so the oldest message sits at slot 0.
+    std::vector<InFlight> grown(d.ring.empty() ? 4 : 2 * d.ring.size());
+    for (std::size_t i = 0; i < d.count; ++i) {
+      grown[i] = std::move(d.ring[(d.head + i) % d.ring.size()]);
+    }
+    d.ring = std::move(grown);
+    d.head = 0;
+  }
+  InFlight& slot = d.ring[(d.head + d.count) % d.ring.size()];
+  ++d.count;
+  slot.epoch = epoch_;
+  slot.bytes.assign(bytes.begin(), bytes.end());
+  slot.causes = causes;
+  // The task names only the direction (16 bytes: fits std::function's
+  // inline buffer); the message it delivers is the FIFO's oldest.
+  sched_.After(latency_, [this, dir] { Deliver(dir); });
+}
+
+void Link::Deliver(int dir) {
+  Direction& d = dirs_[dir];
+  InFlight& slot = d.ring[d.head];
+  std::swap(slot, delivering_);
+  d.head = (d.head + 1) % d.ring.size();
+  --d.count;
+  if (d.count == 0 && d.ring.size() > kRetainSlots) {
+    d.ring.resize(kRetainSlots);  // a burst is over: drop its extra slots
+    d.ring.shrink_to_fit();
+    d.head = 0;
+  }
+  if (delivering_.epoch == epoch_ && up_) {  // else carrier dropped in flight
+    const Side& dst = dir == 0 ? b_ : a_;
+    dst.endpoint->OnWireData(dst.peer_id, delivering_.bytes,
+                             delivering_.causes);
+  }
+  ClearRetaining(delivering_.bytes, kRetainBytes);
+  ClearRetaining(delivering_.causes, kRetainCauses);
+}
+
+std::size_t Link::buffer_bytes(const LinkEndpoint* from) const {
+  std::size_t total = 0;
+  for (const InFlight& f : dirs_[from == a_.endpoint ? 0 : 1].ring) {
+    total += f.bytes.capacity();
+  }
+  return total;
 }
 
 void LineFailureProcess::Start() { ScheduleFailure(); }

@@ -1,7 +1,12 @@
 // Point-to-point link model connecting two router endpoints.
 //
 // Links carry encoded BGP messages (real wire bytes — every hop exercises
-// the codec) with a fixed propagation latency. A link can be failed and
+// the codec) with a fixed propagation latency. Because the latency is
+// fixed, each direction delivers in send order, so a message in flight is
+// held in a per-direction FIFO of recycled buffers and its delivery task
+// only names the direction: the sender's bytes are copied once, into a
+// buffer that survives for the next message, and the receiver reads them
+// through a span. A link can be failed and
 // restored by scenario code, by the leased-line failure process, or by the
 // CSU clock-drift oscillator (§4.2's "misconfigured CSUs ... cause the line
 // to oscillate"): router interface cards are "sensitive to millisecond loss
@@ -10,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,15 +34,17 @@ class LinkEndpoint {
   virtual ~LinkEndpoint() = default;
   virtual void OnTransportUp(std::uint32_t local_peer_id) = 0;
   virtual void OnTransportDown(std::uint32_t local_peer_id) = 0;
-  // `causes` is the provenance sideband for the message's events (withdrawn
-  // then NLRI order); empty when the sender attached none.
+  // `bytes` and `causes` view link-owned storage that is valid only for the
+  // duration of the call. `causes` is the provenance sideband for the
+  // message's events (withdrawn then NLRI order); empty when the sender
+  // attached none.
   virtual void OnWireData(std::uint32_t local_peer_id,
-                          std::vector<std::uint8_t> bytes,
-                          obs::CauseVec causes) = 0;
+                          std::span<const std::uint8_t> bytes,
+                          const obs::CauseVec& causes) = 0;
   // Convenience for callers without a sideband (tests, manual injection).
   void OnWireData(std::uint32_t local_peer_id,
-                  std::vector<std::uint8_t> bytes) {
-    OnWireData(local_peer_id, std::move(bytes), obs::CauseVec{});
+                  std::span<const std::uint8_t> bytes) {
+    OnWireData(local_peer_id, bytes, obs::CauseVec{});
   }
 };
 
@@ -79,19 +87,53 @@ class Link {
   // propagation latency if the link is still up at delivery time (a fail
   // between send and delivery drops the data, as TCP segments in flight are
   // lost when carrier drops). `causes` rides in the delivery (a sideband
-  // next to the wire bytes, never on them — MRT logs are unchanged).
-  void Send(const LinkEndpoint* from, std::vector<std::uint8_t> bytes,
-            obs::CauseVec causes = {});
+  // next to the wire bytes, never on them — MRT logs are unchanged). Both
+  // are copied; the caller's storage is free again on return.
+  void Send(const LinkEndpoint* from, std::span<const std::uint8_t> bytes,
+            const obs::CauseVec& causes = {});
+
+  // Messages sent in the direction away from `from` and not yet delivered
+  // or dropped.
+  std::size_t in_flight(const LinkEndpoint* from) const {
+    return dirs_[from == a_.endpoint ? 0 : 1].count;
+  }
+  // Buffer slots the direction away from `from` currently holds (in flight
+  // plus recycled), and the storage those buffers hold, in bytes.
+  std::size_t buffer_slots(const LinkEndpoint* from) const {
+    return dirs_[from == a_.endpoint ? 0 : 1].ring.size();
+  }
+  std::size_t buffer_bytes(const LinkEndpoint* from) const;
 
  private:
   struct Side {
     LinkEndpoint* endpoint = nullptr;
     std::uint32_t peer_id = 0;
   };
+  // One message in flight: the epoch it was sent in plus its bytes and
+  // cause tags, in buffers recycled from message to message.
+  struct InFlight {
+    std::uint64_t epoch = 0;
+    std::vector<std::uint8_t> bytes;
+    obs::CauseVec causes;
+  };
+  // A ring of InFlight slots in send order (delivery order, since the
+  // latency is fixed). dirs_[0] carries A→B, dirs_[1] B→A.
+  struct Direction {
+    std::vector<InFlight> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;
+  };
+
+  // Delivers (or, after a Fail, drops) the oldest message in dirs_[dir].
+  void Deliver(int dir);
 
   Scheduler& sched_;
   Duration latency_;
   Side a_, b_;
+  Direction dirs_[2];
+  // The message being delivered, swapped out of its ring slot so a send
+  // made during delivery can grow the ring without moving it.
+  InFlight delivering_;
   bool up_ = false;
   std::uint64_t epoch_ = 0;  // bumped on every Fail; stale deliveries dropped
   std::uint64_t messages_carried_ = 0;

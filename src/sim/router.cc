@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "netbase/scratch.h"
+
 namespace iri::sim {
 
 Router::Router(Scheduler& sched, RouterConfig config, std::uint64_t seed)
@@ -93,8 +95,15 @@ void Router::Originate(const bgp::Route& route) {
   }
   auto [slot, fresh] = local_index_.TryEmplace(route.prefix);
   if (fresh || *slot == kNoLocalRoute) {
-    *slot = static_cast<std::uint32_t>(local_routes_.size());
-    local_routes_.push_back(route);
+    // Land in the first spare (an erased route's storage) when there is
+    // one, so a flapping route's re-origination reuses its buffers.
+    *slot = static_cast<std::uint32_t>(num_local_routes_);
+    if (num_local_routes_ < local_routes_.size()) {
+      local_routes_[num_local_routes_] = route;
+    } else {
+      local_routes_.push_back(route);
+    }
+    ++num_local_routes_;
   } else {
     local_routes_[*slot] = route;
   }
@@ -134,16 +143,17 @@ void Router::WithdrawLocal(const Prefix& prefix) {
   }
   if (std::uint32_t* slot = local_index_.Find(prefix);
       slot != nullptr && *slot != kNoLocalRoute) {
-    // Swap-erase the dense vector; the index has no single-key erase, so the
+    // Swap-erase within the live prefix of the vector (the erased route
+    // becomes the first spare); the index has no single-key erase, so the
     // vacated entry is tombstoned in place.
     const std::uint32_t i = *slot;
     const std::uint32_t last =
-        static_cast<std::uint32_t>(local_routes_.size()) - 1;
+        static_cast<std::uint32_t>(num_local_routes_) - 1;
     if (i != last) {
-      local_routes_[i] = std::move(local_routes_[last]);
+      std::swap(local_routes_[i], local_routes_[last]);
       *local_index_.Find(local_routes_[i].prefix) = i;
     }
-    local_routes_.pop_back();
+    --num_local_routes_;
     *slot = kNoLocalRoute;
   }
   const bgp::RibChange change = rib_.Withdraw(bgp::kLocalPeer, prefix);
@@ -178,7 +188,7 @@ void Router::InternalReset(double dirty_fraction) {
   // reaches the wire) is the dense vector's insertion/swap-erase order — a
   // pure function of the call history, not of any hash layout.
   const obs::CauseTag cause = AmbientCause();
-  const std::size_t n = local_routes_.size();
+  const std::size_t n = num_local_routes_;
   for (std::size_t i = 0; i < n; ++i) {
     if (dirty_fraction < 1.0 && rng_.Uniform() >= dirty_fraction) continue;
     PropagateChange(local_routes_[i].prefix, cause);
@@ -200,26 +210,30 @@ Duration Router::Backlog() const {
 
 // ---------------------------------------------------------------- sessions
 
+// The FSM entry points below share fsm_actions_. No action handler calls
+// back into an FSM (sends are scheduled, and session up/down only queue
+// route changes), so one buffer is never in use twice.
+
 void Router::OnTransportUp(std::uint32_t peer) {
   if (crashed_) return;
   Peer& p = peers_[peer];
-  bgp::SessionFsm::Actions actions;
-  p.fsm.Start(sched_.Now(), actions);
-  p.fsm.OnTransportUp(sched_.Now(), actions);
-  HandleFsmActions(peer, actions);
+  fsm_actions_.clear();
+  p.fsm.Start(sched_.Now(), fsm_actions_);
+  p.fsm.OnTransportUp(sched_.Now(), fsm_actions_);
+  HandleFsmActions(peer, fsm_actions_);
   ScheduleFsmTimer(peer);
 }
 
 void Router::OnTransportDown(std::uint32_t peer) {
   Peer& p = peers_[peer];
-  bgp::SessionFsm::Actions actions;
-  p.fsm.OnTransportDown(sched_.Now(), actions);
-  HandleFsmActions(peer, actions);
+  fsm_actions_.clear();
+  p.fsm.OnTransportDown(sched_.Now(), fsm_actions_);
+  HandleFsmActions(peer, fsm_actions_);
   ScheduleFsmTimer(peer);
 }
 
-void Router::OnWireData(std::uint32_t peer, std::vector<std::uint8_t> bytes,
-                        obs::CauseVec causes) {
+void Router::OnWireData(std::uint32_t peer, std::span<const std::uint8_t> bytes,
+                        const obs::CauseVec& causes) {
   if (crashed_) return;
   Peer& p = peers_[peer];
   ++stats_.messages_rx;
@@ -264,18 +278,18 @@ void Router::OnWireData(std::uint32_t peer, std::vector<std::uint8_t> bytes,
 
   const bool was_established =
       p.fsm.state() == bgp::SessionState::kEstablished;
-  bgp::SessionFsm::Actions actions;
+  fsm_actions_.clear();
   if (update != nullptr) {
     // The FSM dispatches on the message's *type* only (an UPDATE's payload
     // never reaches it — established sessions just refresh the hold timer,
     // other states tear down or ignore), so a payload-free stand-in drives
     // it identically without copying the scratch into a variant.
     const bgp::Message update_stand_in{bgp::UpdateMessage{}};
-    p.fsm.OnMessage(sched_.Now(), update_stand_in, actions);
+    p.fsm.OnMessage(sched_.Now(), update_stand_in, fsm_actions_);
   } else {
-    p.fsm.OnMessage(sched_.Now(), *msg, actions);
+    p.fsm.OnMessage(sched_.Now(), *msg, fsm_actions_);
   }
-  HandleFsmActions(peer, actions);
+  HandleFsmActions(peer, fsm_actions_);
   ScheduleFsmTimer(peer);
 
   if (was_established && p.established && update != nullptr) {
@@ -353,9 +367,9 @@ void Router::FsmTimerFired(bgp::PeerId id) {
     ScheduleFsmTimer(id);
     return;
   }
-  bgp::SessionFsm::Actions actions;
-  p.fsm.OnTimer(now, actions);
-  HandleFsmActions(id, actions);
+  fsm_actions_.clear();
+  p.fsm.OnTimer(now, fsm_actions_);
+  HandleFsmActions(id, fsm_actions_);
   // Connect retry: if the transport (link) is still there, re-initiate
   // the handshake — the FSM only tracks deadlines, the "TCP connect" is
   // ours to perform.
@@ -389,7 +403,7 @@ void Router::OnSessionUp(bgp::PeerId id) {
 
 void Router::OnSessionDown(bgp::PeerId id) {
   Peer& p = peers_[id];
-  p.adj_rib_out.clear();
+  p.adj_rib_out.Clear();
   const obs::CauseTag cause =
       SessionCause(id, obs::CauseKind::kSessionReset);
   // Everything learned from this peer is gone: a genuine topology change.
@@ -402,35 +416,76 @@ void Router::OnSessionDown(bgp::PeerId id) {
 }
 
 void Router::SendMessage(bgp::PeerId id, const bgp::Message& msg,
-                         bool priority, obs::CauseVec causes) {
+                         bool priority) {
   Peer& p = peers_[id];
   if (p.link == nullptr || !p.link->up()) return;
   ++stats_.messages_tx;
   if (metrics_.messages_tx) metrics_.messages_tx->Add(1);
-  if (const auto* u = std::get_if<bgp::UpdateMessage>(&msg)) {
-    ++stats_.updates_tx;
-    if (metrics_.updates_tx) metrics_.updates_tx->Add(1);
-    stats_.prefixes_announced_tx += u->nlri.size();
-    stats_.prefixes_withdrawn_tx += u->withdrawn.size();
-  }
-  std::vector<std::uint8_t> bytes;
   {
     obs::ScopedTimer timer(&encode_site_);
-    bytes = bgp::Encode(msg);
-    timer.AddItems(bytes.size());
+    wire_.Clear();
+    bgp::EncodeInto(msg, wire_);
+    timer.AddItems(wire_.size());
   }
+  static const obs::CauseVec kNoCauses;
+  SendWire(p.link, priority, kNoCauses);
+}
+
+void Router::SendPacked(bgp::PeerId id, std::size_t m) {
+  Peer& p = peers_[id];
+  if (p.link == nullptr || !p.link->up()) return;
+  ++stats_.messages_tx;
+  if (metrics_.messages_tx) metrics_.messages_tx->Add(1);
+  ++stats_.updates_tx;
+  if (metrics_.updates_tx) metrics_.updates_tx->Add(1);
+  stats_.prefixes_announced_tx += packer_.nlri(m).size();
+  stats_.prefixes_withdrawn_tx += packer_.withdrawn(m).size();
+  {
+    obs::ScopedTimer timer(&encode_site_);
+    wire_.Clear();
+    packer_.Encode(m, export_sets_, wire_);
+    timer.AddItems(wire_.size());
+  }
+  SendWire(p.link, /*priority=*/false, packer_.causes(m));
+}
+
+void Router::SendWire(Link* link, bool priority, const obs::CauseVec& causes) {
   const TimePoint now = sched_.Now();
   // Non-priority traffic queues behind the CPU backlog; this is the delay
   // that starves KEEPALIVEs on busy route-caching routers.
   const TimePoint when = priority ? now : std::max(now, busy_until_);
   if (when <= now) {
-    p.link->Send(this, std::move(bytes), std::move(causes));
+    link->Send(this, wire_.data(), causes);
+    return;
+  }
+  std::uint32_t slot;
+  if (free_delayed_.empty()) {
+    slot = static_cast<std::uint32_t>(delayed_.size());
+    delayed_.emplace_back();
   } else {
-    Link* link = p.link;
-    sched_.At(when, [this, link, data = std::move(bytes),
-                     tags = std::move(causes)]() mutable {
-      link->Send(this, std::move(data), std::move(tags));
-    });
+    slot = free_delayed_.back();
+    free_delayed_.pop_back();
+  }
+  DelayedSend& d = delayed_[slot];
+  d.link = link;
+  d.bytes.assign(wire_.data().begin(), wire_.data().end());
+  d.causes = causes;
+  sched_.At(when, [this, slot] { FireDelayedSend(slot); });
+}
+
+void Router::FireDelayedSend(std::uint32_t slot) {
+  // Deliberately not gated on crashed_: the bytes had left the CPU queue.
+  DelayedSend& d = delayed_[slot];
+  d.link->Send(this, d.bytes, d.causes);
+  // Keep steady-state-sized buffers for the next delayed send; a backlog
+  // storm's 4 KiB updates and long cause lists are released.
+  ClearRetaining(d.bytes, 1024);
+  ClearRetaining(d.causes, 64);
+  free_delayed_.push_back(slot);
+  if (free_delayed_.size() == delayed_.size() && delayed_.size() > 64) {
+    delayed_.clear();  // the backlog drained: drop the storm's extra slots
+    delayed_.shrink_to_fit();
+    free_delayed_.clear();
   }
 }
 
@@ -453,14 +508,10 @@ bool Router::DampenAnnounce(bgp::PeerId from, const Prefix& nlri,
 void Router::ProcessUpdate(bgp::PeerId from, const bgp::UpdateMessage& update,
                            const obs::CauseVec& causes) {
   Peer& p = peers_[from];
-  // Prefixes whose best route changed, paired with the (depth-bumped) cause
-  // of the wire event that changed them. The tag is zero bytes when
-  // provenance is compiled out, so this is the old vector<Prefix>.
-  struct ChangedEntry {
-    Prefix prefix;
-    [[no_unique_address]] obs::CauseTag cause{};
-  };
-  std::vector<ChangedEntry> changed;
+  // Prefixes whose best route changed (see ChangedEntry). Nothing below
+  // re-enters ProcessUpdate, so the router's one list serves every call.
+  std::vector<ChangedEntry>& changed = changed_;
+  changed.clear();
 
   // The sideband is aligned with wire event order: withdrawn, then NLRI.
   // Re-propagating a received event moves it one hop further from its root.
@@ -542,53 +593,48 @@ void Router::PropagateChange(const Prefix& prefix, obs::CauseTag cause) {
   for (bgp::PeerId id = 0; id < peers_.size(); ++id) {
     Peer& p = peers_[id];
     if (!p.established) continue;
-    std::optional<bgp::PathAttributes> exported;
-    if (best != nullptr) exported = ExportCandidate(p, prefix, *best);
-    if (exported) {
-      EnqueueOp(id, bgp::RouteOp{prefix, std::move(exported), false, cause});
-    } else {
-      EnqueueOp(id, bgp::RouteOp{prefix, std::nullopt, false, cause});
-    }
+    const bgp::AttrSetId exported =
+        best != nullptr ? ExportCandidate(p, prefix, *best)
+                        : bgp::kInvalidAttrSetId;
+    EnqueueOp(id, bgp::RouteOp{prefix, exported, false, cause});
   }
 }
 
 void Router::BroadcastWithdraw(const Prefix& prefix, obs::CauseTag cause) {
   for (bgp::PeerId id = 0; id < peers_.size(); ++id) {
     if (!peers_[id].established) continue;
-    EnqueueOp(id, bgp::RouteOp{prefix, std::nullopt, false, cause});
+    EnqueueOp(id, bgp::RouteOp{prefix, bgp::kInvalidAttrSetId, false, cause});
   }
 }
 
-std::optional<bgp::PathAttributes> Router::ExportRoute(
-    const Peer& peer, const Prefix& prefix) const {
-  const bgp::Candidate* best = rib_.Best(prefix);
-  if (best == nullptr) return std::nullopt;
-  return ExportCandidate(peer, prefix, *best);
-}
-
-std::optional<bgp::PathAttributes> Router::ExportCandidate(
-    const Peer& peer, const Prefix& prefix, const bgp::Candidate& best) const {
+bgp::AttrSetId Router::ExportCandidate(const Peer& peer, const Prefix& prefix,
+                                       const bgp::Candidate& best) {
   // Split horizon: never hand a route back to the peer it came from.
   if (best.peer != bgp::kLocalPeer && &peer == &peers_[best.peer]) {
-    return std::nullopt;
+    return bgp::kInvalidAttrSetId;
   }
   // Sender-side loop avoidance: the receiver would reject it anyway.
-  if (best.attributes.as_path.Contains(peer.remote_asn)) return std::nullopt;
-
-  bgp::Route route{prefix, best.attributes};
-  if (!peer.export_policy.ApplyInPlace(route)) return std::nullopt;
+  if (best.attributes.as_path.Contains(peer.remote_asn)) {
+    return bgp::kInvalidAttrSetId;
+  }
+  // Build the exported set in the scratch route, whose buffers survive
+  // from call to call, then intern it.
+  bgp::Route& route = export_scratch_;
+  route.prefix = prefix;
+  route.attributes = best.attributes;
+  if (!peer.export_policy.ApplyInPlace(route)) return bgp::kInvalidAttrSetId;
   if (!config_.transparent) {
     route.attributes.as_path.Prepend(config_.asn);
     route.attributes.next_hop = config_.interface_addr;
   }
   // LOCAL_PREF is iBGP-only; all peerings here are external.
   route.attributes.local_pref.reset();
-  return std::move(route.attributes);
+  return export_sets_.Intern(route.attributes);
 }
 
-void Router::EnqueueOp(bgp::PeerId id, bgp::RouteOp op) {
+void Router::EnqueueOp(bgp::PeerId id, const bgp::RouteOp& op) {
   Peer& p = peers_[id];
-  p.queue.Enqueue(sched_.Now(), std::move(op));
+  p.queue.Enqueue(sched_.Now(), op);
   if (!p.flush_scheduled) {
     p.flush_scheduled = true;
     sched_.At(p.queue.NextFlush(), [this, id] { FlushPeer(id); });
@@ -599,12 +645,19 @@ void Router::FlushPeer(bgp::PeerId id) {
   Peer& p = peers_[id];
   p.flush_scheduled = false;
   if (crashed_) return;
-  std::vector<bgp::RouteOp> ops = p.queue.Flush(sched_.Now());
-  if (!p.established || ops.empty()) return;
+  p.queue.Flush(sched_.Now(), flush_ops_);
+  if (p.established && !flush_ops_.empty()) SendFlushed(id);
+  // The drained vector becomes the queue's buffer at the next flush; a
+  // full-table dump's capacity is not worth keeping per peer.
+  ClearRetaining(flush_ops_, 1024);
+  ClearRetaining(final_ops_, 1024);
+}
 
-  std::vector<bgp::RouteOp> final_ops;
-  final_ops.reserve(ops.size());
-  for (auto& op : ops) {
+void Router::SendFlushed(bgp::PeerId id) {
+  Peer& p = peers_[id];
+  std::vector<bgp::RouteOp>& final_ops = final_ops_;
+  final_ops.clear();
+  for (const bgp::RouteOp& op : flush_ops_) {
     if (config_.stateless_bgp) {
       // No Adj-RIB-Out: everything goes out, duplicates included. A
       // within-window withdraw..announce pair is transmitted as W then A
@@ -613,40 +666,36 @@ void Router::FlushPeer(bgp::PeerId id) {
       // cause — the whole train descends from the same fault.
       if (op.withdraw_preceded) {
         final_ops.push_back(
-            bgp::RouteOp{op.prefix, std::nullopt, false, op.cause});
+            bgp::RouteOp{op.prefix, bgp::kInvalidAttrSetId, false, op.cause});
       }
-      final_ops.push_back(std::move(op));
+      final_ops.push_back(op);
       continue;
     }
-    auto it = p.adj_rib_out.find(op.prefix);
+    bgp::AttrSetId* told = p.adj_rib_out.Find(op.prefix);
     if (op.IsWithdraw()) {
-      if (it == p.adj_rib_out.end()) continue;  // never told them: suppress
-      p.adj_rib_out.erase(it);
-      final_ops.push_back(std::move(op));
+      if (told == nullptr || *told == bgp::kInvalidAttrSetId) {
+        continue;  // never told them: suppress
+      }
+      *told = bgp::kInvalidAttrSetId;
     } else {
-      if (it != p.adj_rib_out.end() && it->second == *op.attributes) {
+      if (told != nullptr && *told == op.attrs) {
         continue;  // peer already has exactly this route: suppress duplicate
       }
-      p.adj_rib_out[op.prefix] = *op.attributes;
-      final_ops.push_back(std::move(op));
+      if (told == nullptr) told = p.adj_rib_out.TryEmplace(op.prefix).first;
+      *told = op.attrs;
     }
+    final_ops.push_back(op);
   }
   if (final_ops.empty()) return;
 
-  // The packer reorders ops (attribute grouping), so it builds the per-
-  // message cause sideband itself; skip the work entirely when compiled out.
-  std::vector<obs::CauseVec> msg_causes;
-  std::vector<bgp::UpdateMessage> msgs = bgp::PackUpdates(
-      final_ops, obs::kProvenanceEnabled ? &msg_causes : nullptr);
-  for (std::size_t m = 0; m < msgs.size(); ++m) {
-    const bgp::UpdateMessage& msg = msgs[m];
+  packer_.Pack(final_ops, export_sets_);
+  for (std::size_t m = 0; m < packer_.size(); ++m) {
     // Marshaling cost per outbound prefix.
-    ChargeCpu(config_.cost_per_prefix *
-              (0.25 * static_cast<double>(msg.withdrawn.size() + msg.nlri.size())));
+    const std::size_t prefixes =
+        packer_.withdrawn(m).size() + packer_.nlri(m).size();
+    ChargeCpu(config_.cost_per_prefix * (0.25 * static_cast<double>(prefixes)));
     if (crashed_) return;
-    SendMessage(id, msg, /*priority=*/false,
-                m < msg_causes.size() ? std::move(msg_causes[m])
-                                      : obs::CauseVec{});
+    SendPacked(id, m);
   }
 }
 
@@ -661,10 +710,10 @@ void Router::FullDump(bgp::PeerId id, obs::CauseTag cause) {
   Peer& p = peers_[id];
   std::uint64_t exported_count = 0;
   rib_.VisitBest([&](const Prefix& prefix, const bgp::Candidate& best) {
-    auto exported = ExportCandidate(p, prefix, best);
-    if (exported) {
+    const bgp::AttrSetId exported = ExportCandidate(p, prefix, best);
+    if (exported != bgp::kInvalidAttrSetId) {
       ++exported_count;
-      EnqueueOp(id, bgp::RouteOp{prefix, std::move(exported), false, cause});
+      EnqueueOp(id, bgp::RouteOp{prefix, exported, false, cause});
     }
   });
   IRI_TRACE(tracer_, sched_.Now(), "redump_end",
@@ -713,7 +762,7 @@ void Router::Crash() {
     bgp::SessionFsm::Actions ignored;
     p.fsm.Stop(sched_.Now(), ignored);  // discard actions: a dead box is mute
     p.established = false;
-    p.adj_rib_out.clear();
+    p.adj_rib_out.Clear();
     p.timer_armed = TimePoint::Max();  // cancel outstanding timer polls
   }
   // Drop every learned route; local (customer) routes survive on NVRAM.

@@ -25,21 +25,33 @@
 // on) are delayed behind the backlog. Sustained update load therefore
 // starves keepalives, peers' hold timers fire, sessions drop, full-table
 // re-dumps add more load: the route flap storm, §3.
+//
+// The per-message path allocates nothing in steady state (DESIGN.md §12).
+// Export interns each exported attribute set into the router's table of
+// exported sets and queues its id; the Adj-RIB-Out stores ids, so
+// duplicate suppression is an integer compare. A flush packs into the
+// packer's reused scratch and encodes each message into one reused writer;
+// the link copies the bytes into its own recycled buffer. A send delayed
+// behind the CPU backlog waits in a slot of a router-owned slab (not a
+// FIFO: a reboot resets the backlog, so a later send can fall due before
+// an earlier one). Receive decodes into one scratch message, FSM actions
+// and the changed-prefix list go into reused vectors.
 #pragma once
 
 #include <functional>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/dampening.h"
+#include "bgp/intern.h"
 #include "bgp/message.h"
 #include "bgp/policy.h"
 #include "bgp/rib.h"
 #include "bgp/session.h"
 #include "bgp/update_packer.h"
+#include "netbase/bytes.h"
 #include "netbase/probe_map.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -177,8 +189,13 @@ class Router : public LinkEndpoint {
   using LinkEndpoint::OnWireData;  // keep the 2-arg convenience visible
   void OnTransportUp(std::uint32_t peer) override;
   void OnTransportDown(std::uint32_t peer) override;
-  void OnWireData(std::uint32_t peer, std::vector<std::uint8_t> bytes,
-                  obs::CauseVec causes) override;
+  void OnWireData(std::uint32_t peer, std::span<const std::uint8_t> bytes,
+                  const obs::CauseVec& causes) override;
+
+  // Sends waiting behind the CPU backlog.
+  std::size_t delayed_sends() const {
+    return delayed_.size() - free_delayed_.size();
+  }
 
  private:
   struct Peer {
@@ -188,7 +205,9 @@ class Router : public LinkEndpoint {
     bgp::OutboundQueue queue;
     bgp::Policy import_policy;
     bgp::Policy export_policy;
-    std::unordered_map<Prefix, bgp::PathAttributes> adj_rib_out;
+    // Adj-RIB-Out: the exported-set id each prefix was last announced
+    // with; kInvalidAttrSetId (or no entry) means "not told".
+    ProbeMap<Prefix, bgp::AttrSetId> adj_rib_out;
     bool established = false;
     bool flush_scheduled = false;
     // Earliest pending FSM-timer poll, TimePoint::Max() when none. The FSM's
@@ -212,8 +231,14 @@ class Router : public LinkEndpoint {
   void FsmTimerFired(bgp::PeerId id);
   void OnSessionUp(bgp::PeerId id);
   void OnSessionDown(bgp::PeerId id);
-  void SendMessage(bgp::PeerId id, const bgp::Message& msg,
-                   bool priority = false, obs::CauseVec causes = {});
+  // Encodes and sends a control message (OPEN, KEEPALIVE, NOTIFICATION).
+  void SendMessage(bgp::PeerId id, const bgp::Message& msg, bool priority);
+  // Encodes and sends message `m` of the packer's current batch.
+  void SendPacked(bgp::PeerId id, std::size_t m);
+  // Hands the bytes in wire_ to `link`, now or — queued behind the CPU
+  // backlog unless `priority` — from a delayed-send slot.
+  void SendWire(Link* link, bool priority, const obs::CauseVec& causes);
+  void FireDelayedSend(std::uint32_t slot);
 
   // --- provenance ---
   // The ambient cause at an injection entry point (null without a context).
@@ -226,6 +251,13 @@ class Router : public LinkEndpoint {
   obs::CauseTag SessionCause(bgp::PeerId id, obs::CauseKind emergent_kind);
 
   // --- update processing ---
+  // A prefix whose best route changed, paired with the (depth-bumped) cause
+  // of the wire event that changed it. The tag is zero bytes when
+  // provenance is compiled out.
+  struct ChangedEntry {
+    Prefix prefix;
+    [[no_unique_address]] obs::CauseTag cause{};
+  };
   void ProcessUpdate(bgp::PeerId from, const bgp::UpdateMessage& update,
                      const obs::CauseVec& causes);
   // Charges the dampener for an announcement; true means "suppress it".
@@ -237,17 +269,16 @@ class Router : public LinkEndpoint {
   // Stateless pathology: spray a withdrawal at every established peer,
   // bypassing export policy and Adj-RIB-Out.
   void BroadcastWithdraw(const Prefix& prefix, obs::CauseTag cause);
-  // Computes the route to announce to `peer` for `prefix`, or nullopt when
+  // The id of the attribute set to announce to `peer` for `prefix` given
+  // its best candidate, interned into export_sets_; kInvalidAttrSetId when
   // it must not be announced (split horizon, loop, policy deny).
-  std::optional<bgp::PathAttributes> ExportRoute(const Peer& peer,
-                                                 const Prefix& prefix) const;
-  // Same, given the already-looked-up best candidate — the batched RIB-walk
-  // paths (FullDump's Loc-RIB sweep, PropagateChange's per-peer fan-out)
-  // resolve Best() once instead of once per peer.
-  std::optional<bgp::PathAttributes> ExportCandidate(
-      const Peer& peer, const Prefix& prefix, const bgp::Candidate& best) const;
-  void EnqueueOp(bgp::PeerId id, bgp::RouteOp op);
+  bgp::AttrSetId ExportCandidate(const Peer& peer, const Prefix& prefix,
+                                 const bgp::Candidate& best);
+  void EnqueueOp(bgp::PeerId id, const bgp::RouteOp& op);
   void FlushPeer(bgp::PeerId id);
+  // Applies Adj-RIB-Out suppression to the drained flush_ops_, then packs
+  // and sends what survives.
+  void SendFlushed(bgp::PeerId id);
   void FullDump(bgp::PeerId id, obs::CauseTag cause);
 
   // --- CPU model ---
@@ -265,12 +296,16 @@ class Router : public LinkEndpoint {
   bgp::Rib rib_;
   bgp::Dampener dampener_;
   std::vector<Peer> peers_;
-  // Locally-originated routes, flat: a dense vector in deterministic
-  // (insertion / swap-erase) order plus a probed index mapping prefix to
-  // slot. InternalReset's sweep order reaches the wire, so the container's
-  // iteration order must not depend on the platform's hash — the vector's
-  // order is a pure function of the Originate/WithdrawLocal call sequence.
+  // Locally-originated routes, flat: the first num_local_routes_ entries
+  // are live, in deterministic (insertion / swap-erase) order, plus a probed
+  // index mapping prefix to slot. InternalReset's sweep order reaches the
+  // wire, so the container's iteration order must not depend on the
+  // platform's hash — the live order is a pure function of the
+  // Originate/WithdrawLocal call sequence. Entries past the live count are
+  // erased routes kept as spares: a re-originated route copies into one
+  // instead of allocating fresh path and community buffers.
   std::vector<bgp::Route> local_routes_;
+  std::size_t num_local_routes_ = 0;
   ProbeMap<Prefix, std::uint32_t> local_index_;  // kNoLocalRoute = erased
   static constexpr std::uint32_t kNoLocalRoute = 0xFFFFFFFFu;
   bgp::PathAttributes originate_scratch_;  // reused by Originate (hot path)
@@ -279,6 +314,28 @@ class Router : public LinkEndpoint {
   // instead of once per message. Safe because delivery is scheduler-driven
   // (OnWireData never re-enters while an update is being processed).
   bgp::UpdateMessage decode_scratch_;
+  // Every attribute set this router has exported, interned: queued ops and
+  // the Adj-RIB-Outs name sets by id. Bounded by the distinct exported sets
+  // (paths × the few MED and community values), not by traffic.
+  bgp::PathAttributesTable export_sets_{0};
+  bgp::Route export_scratch_;  // ExportCandidate's working copy
+  // Send-path scratch, reused by every flush: the drained queue, the ops
+  // that survive Adj-RIB-Out suppression, the packer and the wire writer.
+  std::vector<bgp::RouteOp> flush_ops_;
+  std::vector<bgp::RouteOp> final_ops_;
+  bgp::UpdatePacker packer_;
+  ByteWriter wire_;
+  bgp::SessionFsm::Actions fsm_actions_;
+  std::vector<ChangedEntry> changed_;  // ProcessUpdate's best-changed list
+  // Sends delayed behind the CPU backlog: a slab of slots, each named by
+  // its own scheduler task, recycled through a LIFO free list.
+  struct DelayedSend {
+    Link* link = nullptr;
+    std::vector<std::uint8_t> bytes;
+    obs::CauseVec causes;
+  };
+  std::vector<DelayedSend> delayed_;
+  std::vector<std::uint32_t> free_delayed_;
   TimePoint busy_until_;
   bool crashed_ = false;
   Stats stats_;

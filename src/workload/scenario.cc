@@ -213,25 +213,43 @@ int ExchangeScenario::SampleCustomer() {
   return static_cast<int>(it - customer_weight_cumulative_.begin());
 }
 
-bgp::Route ExchangeScenario::CustomerRoute(int customer, bool via_primary,
-                                           bool alternate_path) const {
+const bgp::Route& ExchangeScenario::CustomerRoute(int customer,
+                                                  bool via_primary,
+                                                  bool alternate_path) {
   const auto& c = universe_.customers[static_cast<std::size_t>(customer)];
   const auto& prov =
       universe_.providers[static_cast<std::size_t>(
           via_primary ? c.primary_provider : c.backup_provider)];
-  bgp::Route r;
+  // Rebuilt in place: every field is reset to a fresh route's value, but
+  // the path and community buffers keep their capacity.
+  bgp::Route& r = route_scratch_;
   r.prefix = c.prefix;
-  r.attributes.origin = bgp::Origin::kIgp;
-  std::vector<bgp::Asn> path;
-  if (alternate_path) path.push_back(prov.transit_asn);
-  if (c.customer_asn != 0) path.push_back(c.customer_asn);
-  r.attributes.as_path = bgp::AsPath::Sequence(std::move(path));
-  r.attributes.communities.push_back(kOwnRouteTag);
-  if (c.aggregated) r.attributes.communities.push_back(kAggregatedTag);
-  std::sort(r.attributes.communities.begin(), r.attributes.communities.end());
+  bgp::PathAttributes& a = r.attributes;
+  a.origin = bgp::Origin::kIgp;
+  a.next_hop = IPv4Address{};
+  a.local_pref.reset();
+  a.atomic_aggregate = false;
+  a.aggregator.reset();
+  std::vector<bgp::AsPathSegment>& segs = a.as_path.segments();
+  if (!alternate_path && c.customer_asn == 0) {
+    segs.clear();
+  } else {
+    segs.resize(1);
+    segs[0].type = bgp::AsPathSegment::Type::kSequence;
+    segs[0].asns.clear();
+    if (alternate_path) segs[0].asns.push_back(prov.transit_asn);
+    if (c.customer_asn != 0) segs[0].asns.push_back(c.customer_asn);
+  }
+  a.communities.clear();
+  a.communities.push_back(kOwnRouteTag);
+  if (c.aggregated) a.communities.push_back(kAggregatedTag);
+  std::sort(a.communities.begin(), a.communities.end());
   const auto& st = customer_state_[static_cast<std::size_t>(customer)];
-  if (st.policy_serial > 0) r.attributes.med = static_cast<std::uint32_t>(
-      st.policy_serial % 8);
+  if (st.policy_serial > 0) {
+    a.med = static_cast<std::uint32_t>(st.policy_serial % 8);
+  } else {
+    a.med.reset();
+  }
   return r;
 }
 
@@ -303,12 +321,17 @@ void ExchangeScenario::SchedulePoisson(double events_per_day,
                                        double max_level,
                                        std::function<void()> fire) {
   if (events_per_day <= 0 || max_level <= 0) return;
-  const double mean_gap_s = 86400.0 / (events_per_day * max_level);
+  poisson_.push_back({events_per_day, max_level, std::move(fire)});
+  ArmPoisson(poisson_.size() - 1);
+}
+
+void ExchangeScenario::ArmPoisson(std::size_t process) {
+  const PoissonProcess& p = poisson_[process];
+  const double mean_gap_s = 86400.0 / (p.events_per_day * p.max_level);
   const Duration wait = Duration::Seconds(rng_.Exponential(mean_gap_s));
-  sched_.After(wait, [this, events_per_day, max_level,
-                      fire = std::move(fire)]() mutable {
-    fire();
-    SchedulePoisson(events_per_day, max_level, std::move(fire));
+  sched_.After(wait, [this, process] {
+    poisson_[process].fire();
+    ArmPoisson(process);
   });
 }
 
@@ -710,17 +733,17 @@ void ExchangeScenario::StartCsuEpisode(int customer) {
                         (cust.flappy ? config_.flappy_episode_multiplier : 1.0);
   const double len_s = std::min(config_.max_episode_length.ToSeconds(),
                                 std::max(45.0, rng_.Exponential(mean_s)));
-  CsuBeat(customer, sched_.Now() + Duration::Seconds(len_s), /*down=*/true);
+  st.episode_end = sched_.Now() + Duration::Seconds(len_s);
+  CsuBeat(customer, /*down=*/true);
 }
 
-void ExchangeScenario::CsuBeat(int customer, TimePoint episode_end,
-                               bool down) {
+void ExchangeScenario::CsuBeat(int customer, bool down) {
   auto& st = customer_state_[static_cast<std::size_t>(customer)];
   const auto& c = universe_.customers[static_cast<std::size_t>(customer)];
   // Every beat of the episode — carrier losses, recoveries, and the final
   // restore — shares the cause minted at episode start.
   obs::CauseScope scope(&prov_, st.episode_cause);
-  if (sched_.Now() >= episode_end) {
+  if (sched_.Now() >= st.episode_end) {
     // Episode over: restore the line.
     if (!st.line_up) {
       OriginateAt(c.primary_provider,
@@ -740,9 +763,7 @@ void ExchangeScenario::CsuBeat(int customer, TimePoint episode_end,
     // per-beat wobble models the clock drift).
     const Duration off = config_.flush_interval * st.episode_down_frac *
                          (0.95 + 0.1 * rng_.Uniform());
-    sched_.After(off, [this, customer, episode_end] {
-      CsuBeat(customer, episode_end, /*down=*/false);
-    });
+    sched_.After(off, [this, customer] { CsuBeat(customer, /*down=*/false); });
   } else {
     if (!st.line_up) {
       // Recovery sometimes converges onto the indirect transit path: the
@@ -762,9 +783,7 @@ void ExchangeScenario::CsuBeat(int customer, TimePoint episode_end,
     // re-announcements 30-60 s apart (Figure 8's dominant bins).
     const Duration on = config_.flush_interval * st.episode_up_frac *
                         (0.95 + 0.1 * rng_.Uniform());
-    sched_.After(on, [this, customer, episode_end] {
-      CsuBeat(customer, episode_end, /*down=*/true);
-    });
+    sched_.After(on, [this, customer] { CsuBeat(customer, /*down=*/true); });
   }
 }
 
@@ -779,14 +798,15 @@ void ExchangeScenario::StartOscillationEpisode(int customer) {
                         (cust.flappy ? config_.flappy_episode_multiplier : 1.0);
   const double len_s = std::min(config_.max_episode_length.ToSeconds(),
                                 std::max(60.0, rng_.Exponential(mean_s)));
-  OscillationBeat(customer, sched_.Now() + Duration::Seconds(len_s));
+  st.episode_end = sched_.Now() + Duration::Seconds(len_s);
+  OscillationBeat(customer);
 }
 
-void ExchangeScenario::OscillationBeat(int customer, TimePoint episode_end) {
+void ExchangeScenario::OscillationBeat(int customer) {
   auto& st = customer_state_[static_cast<std::size_t>(customer)];
   const auto& c = universe_.customers[static_cast<std::size_t>(customer)];
   obs::CauseScope scope(&prov_, st.episode_cause);
-  if (sched_.Now() >= episode_end || !st.line_up) {
+  if (sched_.Now() >= st.episode_end || !st.line_up) {
     // Settle back on the direct path.
     if (st.on_alternate && st.line_up) {
       st.on_alternate = false;
@@ -802,9 +822,7 @@ void ExchangeScenario::OscillationBeat(int customer, TimePoint episode_end) {
   // back every one or two flush intervals (30 s and 60 s gaps in Fig. 8).
   const double multiple = rng_.Bernoulli(0.7) ? 1.0 : 2.0;
   sched_.After(config_.flush_interval * multiple,
-               [this, customer, episode_end] {
-                 OscillationBeat(customer, episode_end);
-               });
+               [this, customer] { OscillationBeat(customer); });
 }
 
 void ExchangeScenario::PolicyFluctuate(int customer) {

@@ -24,6 +24,7 @@
 // the daily/weekly/seasonal structure the paper's spectral analysis finds.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -231,6 +232,10 @@ class ExchangeScenario {
     // one up) produce 60 s trains through everyone.
     double episode_down_frac = 1.0;
     double episode_up_frac = 1.0;
+    // When the current CSU or oscillation episode ends. A customer has at
+    // most one episode (one beat chain) at a time, so the beats read it here
+    // and their tasks stay small enough for std::function's inline buffer.
+    TimePoint episode_end;
     // The cause allocated at episode start; every beat re-scopes it so the
     // whole episode's updates attribute to one root. Zero bytes when
     // provenance is compiled out.
@@ -249,10 +254,12 @@ class ExchangeScenario {
   // move a single simulation byte.
   void SeriesTick();
 
-  // Event-process machinery: schedules the next arrival of a thinned
-  // Poisson process with base rate `events_per_day` (at usage level 1).
+  // Event-process machinery: registers a thinned Poisson process with base
+  // rate `events_per_day` (at usage level 1) and schedules its first
+  // arrival. Each arrival runs `fire` and schedules the next.
   void SchedulePoisson(double events_per_day, double max_level,
                        std::function<void()> fire);
+  void ArmPoisson(std::size_t process);
 
   // Current multiplicative boost from maintenance windows / Saturday
   // spikes / the upgrade incident, applied on top of the usage level.
@@ -265,9 +272,9 @@ class ExchangeScenario {
   // scopes `cause` (allocated by the Poisson arrival that starts it).
   void PathChangeBurst(int customer, int flips_left, obs::CauseTag cause);
   void StartCsuEpisode(int customer);
-  void CsuBeat(int customer, TimePoint episode_end, bool down);
+  void CsuBeat(int customer, bool down);
   void StartOscillationEpisode(int customer);
-  void OscillationBeat(int customer, TimePoint episode_end);
+  void OscillationBeat(int customer);
   void PolicyFluctuate(int customer);
   void StartInternalResetEpisode(int provider);
   void InternalResetBeat(int provider, int beats_left, obs::CauseTag cause);
@@ -281,9 +288,10 @@ class ExchangeScenario {
   void StartUpgradeIncident();
   void EndUpgradeIncident();
 
-  // Route construction helpers.
-  bgp::Route CustomerRoute(int customer, bool via_primary,
-                           bool alternate_path) const;
+  // Route construction helpers. CustomerRoute builds into route_scratch_
+  // and returns it: valid until the next call.
+  const bgp::Route& CustomerRoute(int customer, bool via_primary,
+                                  bool alternate_path);
 
   ScenarioConfig config_;
   topology::Universe universe_;
@@ -317,6 +325,16 @@ class ExchangeScenario {
   void WithdrawAt(int provider, const Prefix& prefix);
 
   std::vector<CustomerState> customer_state_;
+  bgp::Route route_scratch_;  // CustomerRoute's output
+  // Registered Poisson processes; an arrival task names its process by
+  // index, which keeps the task inside std::function's inline buffer. A
+  // deque, so registering a process never moves one whose `fire` is running.
+  struct PoissonProcess {
+    double events_per_day;
+    double max_level;
+    std::function<void()> fire;
+  };
+  std::deque<PoissonProcess> poisson_;
   // Visible universe with primary-provider ownership (spray targets; a
   // provider's reset never sprays its own customers — those are handled by
   // InternalReset itself).

@@ -11,6 +11,7 @@
 #include <variant>
 #include <vector>
 
+#include "bgp/intern.h"
 #include "bgp/message.h"
 #include "bgp/update_packer.h"
 #include "netbase/rng.h"
@@ -84,8 +85,9 @@ PathAttributes RandomAttributes(Rng& rng) {
 }
 
 // A random batch of route ops with duplicate-free prefixes per op kind —
-// the shape OutboundQueue::Flush hands to PackUpdates.
-std::vector<RouteOp> RandomOps(Rng& rng) {
+// the shape OutboundQueue::Flush hands to the packer. Announced sets are
+// interned into `sets`, as a router interns its exported sets.
+std::vector<RouteOp> RandomOps(Rng& rng, PathAttributesTable& sets) {
   std::vector<RouteOp> ops;
   const int n = static_cast<int>(rng.Range(1, 40));
   // A few shared attribute sets so the packer's group-by-attributes path is
@@ -97,7 +99,7 @@ std::vector<RouteOp> RandomOps(Rng& rng) {
     RouteOp op;
     op.prefix = RandomPrefix(rng);
     if (!rng.Bernoulli(0.4)) {  // 60% announcements
-      op.attributes = palette[rng.Below(palette.size())];
+      op.attrs = sets.Intern(palette[rng.Below(palette.size())]);
     }
     ops.push_back(std::move(op));
   }
@@ -115,13 +117,20 @@ void CheckMessageRoundTrip(const Message& msg, std::uint64_t seed) {
 }
 
 TEST(BgpWireRoundTrip, TenThousandRandomUpdateBatches) {
+  UpdatePacker packer;  // one packer across batches, as a router keeps one
   for (int c = 0; c < kCases; ++c) {
     const std::uint64_t seed = kBaseSeed + static_cast<std::uint64_t>(c);
     Rng rng(seed);
-    const std::vector<RouteOp> ops = RandomOps(rng);
-    const std::vector<UpdateMessage> packed = PackUpdates(ops);
-    ASSERT_FALSE(packed.empty()) << "seed=" << seed;
-    for (const UpdateMessage& update : packed) {
+    PathAttributesTable sets(0);
+    const std::vector<RouteOp> ops = RandomOps(rng, sets);
+    packer.Pack(ops, sets);
+    ASSERT_GT(packer.size(), 0u) << "seed=" << seed;
+    for (std::size_t m = 0; m < packer.size(); ++m) {
+      const UpdateMessage update = packer.ToMessage(m, sets);
+      // The wire-direct encoding is the codec's encoding of that message.
+      ByteWriter wire;
+      packer.Encode(m, sets, wire);
+      EXPECT_EQ(wire.data(), Encode(Message(update))) << "seed=" << seed;
       ASSERT_NO_FATAL_FAILURE(CheckMessageRoundTrip(Message(update), seed));
       // Attribute-level equality through the codec, spelled out so a
       // failure names the divergent attribute set directly.

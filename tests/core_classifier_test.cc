@@ -41,6 +41,10 @@ UpdateEvent Withdraw(const std::string& prefix, bgp::PeerId peer = 1,
   return ev;
 }
 
+TEST(Classifier, CategoryPrintsByName) {
+  EXPECT_EQ(::testing::PrintToString(Category::kWWDup), "WWDup");
+}
+
 TEST(Classifier, FirstAnnouncementIsInitial) {
   Classifier c;
   auto out = c.Classify(Announce("10.0.0.0/8", Attrs({701})));

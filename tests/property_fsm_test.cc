@@ -93,6 +93,8 @@ TEST_P(QueueFuzz, FlushCoversExactlyThePendingPrefixes) {
   cfg.discipline = (GetParam() % 2) ? TimerDiscipline::kUnjittered
                                     : TimerDiscipline::kJittered;
   OutboundQueue queue(cfg, GetParam());
+  PathAttributesTable sets(0);
+  std::vector<RouteOp> flushed;
 
   TimePoint now = TimePoint::Origin();
   for (int round = 0; round < 50; ++round) {
@@ -108,7 +110,7 @@ TEST_P(QueueFuzz, FlushCoversExactlyThePendingPrefixes) {
       if (rng.Bernoulli(0.5)) {
         PathAttributes attrs;
         attrs.as_path = AsPath::Sequence({static_cast<Asn>(rng.Below(9) + 1)});
-        op.attributes = std::move(attrs);
+        op.attrs = sets.Intern(attrs);
       }
       queue.Enqueue(now, op);
       enqueued.insert(prefix);
@@ -119,7 +121,7 @@ TEST_P(QueueFuzz, FlushCoversExactlyThePendingPrefixes) {
     const TimePoint deadline = queue.NextFlush();
     ASSERT_NE(deadline, TimePoint::Max());
     now = std::max(now, deadline);
-    const auto flushed = queue.Flush(now);
+    queue.Flush(now, flushed);
     std::set<Prefix> seen;
     for (const auto& op : flushed) {
       EXPECT_TRUE(seen.insert(op.prefix).second)
@@ -132,13 +134,14 @@ TEST_P(QueueFuzz, FlushCoversExactlyThePendingPrefixes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueueFuzz, ::testing::Values(10, 11, 12, 13));
 
-// Property: PackUpdates partitions ops exactly — every op appears in
+// Property: the packer partitions ops exactly — every op appears in
 // exactly one message, withdrawals as withdrawals, announcements under
 // their own attributes, and every message encodes within the size cap.
 class PackerFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PackerFuzz, PackingIsAPartition) {
   Rng rng(GetParam());
+  PathAttributesTable sets(0);
   std::vector<RouteOp> ops;
   const int n = 1 + static_cast<int>(rng.Below(800));
   std::set<Prefix> used;
@@ -152,12 +155,17 @@ TEST_P(PackerFuzz, PackingIsAPartition) {
       PathAttributes attrs;
       attrs.as_path = AsPath::Sequence({static_cast<Asn>(rng.Below(4) + 1)});
       attrs.next_hop = IPv4Address(10, 0, 0, static_cast<std::uint8_t>(rng.Below(3)));
-      op.attributes = std::move(attrs);
+      op.attrs = sets.Intern(attrs);
     }
     ops.push_back(std::move(op));
   }
 
-  const auto messages = PackUpdates(ops);
+  UpdatePacker packer;
+  packer.Pack(ops, sets);
+  std::vector<UpdateMessage> messages;
+  for (std::size_t m = 0; m < packer.size(); ++m) {
+    messages.push_back(packer.ToMessage(m, sets));
+  }
   std::set<Prefix> withdrawn_out, announced_out;
   for (const auto& msg : messages) {
     EXPECT_LE(Encode(msg).size(), kMaxMessageSize);
@@ -182,7 +190,7 @@ TEST_P(PackerFuzz, PackingIsAPartition) {
     for (const auto& msg : messages) {
       for (const auto& p : msg.nlri) {
         if (p == op.prefix) {
-          EXPECT_EQ(msg.attributes, *op.attributes);
+          EXPECT_EQ(msg.attributes, sets.Get(op.attrs));
           found = true;
         }
       }

@@ -2,23 +2,32 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 namespace iri::sim {
 namespace {
+
+using Wire = std::vector<std::uint8_t>;
 
 // A scriptable endpoint that records everything the link delivers.
 class FakeEndpoint : public LinkEndpoint {
  public:
   void OnTransportUp(std::uint32_t peer) override { ups.push_back(peer); }
   void OnTransportDown(std::uint32_t peer) override { downs.push_back(peer); }
-  void OnWireData(std::uint32_t peer, std::vector<std::uint8_t> bytes,
-                  obs::CauseVec /*causes*/) override {
-    received.emplace_back(peer, std::move(bytes));
+  void OnWireData(std::uint32_t peer, std::span<const std::uint8_t> bytes,
+                  const obs::CauseVec& /*causes*/) override {
+    received.emplace_back(peer, Wire(bytes.begin(), bytes.end()));
   }
 
   std::vector<std::uint32_t> ups, downs;
-  std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> received;
+  std::vector<std::pair<std::uint32_t, Wire>> received;
+  // The payloads alone, in arrival order.
+  std::vector<Wire> Payloads() const {
+    std::vector<Wire> out;
+    for (const auto& r : received) out.push_back(r.second);
+    return out;
+  }
 };
 
 class LinkTest : public ::testing::Test {
@@ -60,7 +69,7 @@ TEST_F(LinkTest, FailNotifiesBoth) {
 
 TEST_F(LinkTest, DeliversAfterLatencyToOtherSide) {
   link.Restore();
-  link.Send(&a, {1, 2, 3});
+  link.Send(&a, Wire{1, 2, 3});
   EXPECT_TRUE(b.received.empty());  // not yet delivered
   sched.RunUntil(TimePoint::Origin() + Duration::Millis(5));
   ASSERT_EQ(b.received.size(), 1u);
@@ -71,8 +80,8 @@ TEST_F(LinkTest, DeliversAfterLatencyToOtherSide) {
 
 TEST_F(LinkTest, DeliversBothDirections) {
   link.Restore();
-  link.Send(&a, {1});
-  link.Send(&b, {2});
+  link.Send(&a, Wire{1});
+  link.Send(&b, Wire{2});
   sched.RunAll();
   ASSERT_EQ(b.received.size(), 1u);
   ASSERT_EQ(a.received.size(), 1u);
@@ -80,14 +89,14 @@ TEST_F(LinkTest, DeliversBothDirections) {
 }
 
 TEST_F(LinkTest, SendOnDownLinkIsDropped) {
-  link.Send(&a, {1});
+  link.Send(&a, Wire{1});
   sched.RunAll();
   EXPECT_TRUE(b.received.empty());
 }
 
 TEST_F(LinkTest, InFlightDataLostOnFailure) {
   link.Restore();
-  link.Send(&a, {1});
+  link.Send(&a, Wire{1});
   link.Fail();  // fails before the 5 ms delivery
   sched.RunAll();
   EXPECT_TRUE(b.received.empty());
@@ -97,17 +106,90 @@ TEST_F(LinkTest, InFlightDataLostAcrossFlapEpoch) {
   // Fail + restore before delivery time: the segment is still lost (TCP
   // would have seen the carrier drop).
   link.Restore();
-  link.Send(&a, {1});
+  link.Send(&a, Wire{1});
   link.Fail();
   link.Restore();
   sched.RunAll();
   EXPECT_TRUE(b.received.empty());
 }
 
+// Each direction is a FIFO: sends interleaved across both directions and
+// across time arrive, per direction, in send order.
+TEST_F(LinkTest, InterleavedSendsArriveInSendOrder) {
+  link.Restore();
+  link.Send(&a, Wire{1});
+  link.Send(&b, Wire{101});
+  link.Send(&a, Wire{2});
+  sched.RunUntil(TimePoint::Origin() + Duration::Millis(2));
+  link.Send(&b, Wire{102});
+  link.Send(&a, Wire{3});
+  sched.RunUntil(TimePoint::Origin() + Duration::Millis(6));  // 1, 2, 101 due
+  EXPECT_EQ(b.Payloads(), (std::vector<Wire>{{1}, {2}}));
+  link.Send(&a, Wire{4});
+  link.Send(&b, Wire{103});
+  sched.RunAll();
+  EXPECT_EQ(b.Payloads(), (std::vector<Wire>{{1}, {2}, {3}, {4}}));
+  EXPECT_EQ(a.Payloads(), (std::vector<Wire>{{101}, {102}, {103}}));
+  EXPECT_EQ(link.in_flight(&a), 0u);
+  EXPECT_EQ(link.in_flight(&b), 0u);
+}
+
+// A Fail/Restore while messages are in flight drops exactly the messages
+// sent before the Fail; those sent after the Restore — still queued behind
+// the dropped ones — are delivered.
+TEST_F(LinkTest, FlapDropsExactlyTheOldEpoch) {
+  link.Restore();
+  link.Send(&a, Wire{1});
+  link.Send(&b, Wire{101});
+  sched.RunUntil(TimePoint::Origin() + Duration::Millis(1));
+  link.Send(&a, Wire{2});
+  link.Fail();
+  link.Restore();
+  link.Send(&a, Wire{3});
+  link.Send(&b, Wire{102});
+  sched.RunUntil(TimePoint::Origin() + Duration::Millis(2));
+  link.Send(&a, Wire{4});
+  EXPECT_EQ(link.in_flight(&a), 4u);  // the dropped ones still hold slots
+  sched.RunAll();
+  EXPECT_EQ(b.Payloads(), (std::vector<Wire>{{3}, {4}}));
+  EXPECT_EQ(a.Payloads(), (std::vector<Wire>{{102}}));
+  EXPECT_EQ(link.in_flight(&a), 0u);
+}
+
+// Delivered messages give their slots back: a steady stream reuses the
+// same few buffers, and a burst of large messages does not leave its
+// storage behind.
+TEST_F(LinkTest, StorageIsReusedAfterDelivery) {
+  link.Restore();
+  const auto send_three = [this] {
+    for (int i = 0; i < 3; ++i) {
+      link.Send(&a, Wire(60, static_cast<std::uint8_t>(i)));
+    }
+  };
+  send_three();
+  sched.RunAll();
+  const std::size_t slots = link.buffer_slots(&a);
+  EXPECT_GE(slots, 3u);
+  for (int round = 0; round < 100; ++round) {
+    send_three();
+    sched.RunAll();
+  }
+  EXPECT_EQ(link.buffer_slots(&a), slots);
+  EXPECT_EQ(b.received.size(), 303u);
+  EXPECT_EQ(b.received.back().second, Wire(60, 2));
+
+  for (int i = 0; i < 500; ++i) link.Send(&a, Wire(4000, 7));
+  EXPECT_EQ(link.in_flight(&a), 500u);
+  sched.RunAll();
+  EXPECT_EQ(b.received.size(), 803u);
+  EXPECT_LE(link.buffer_slots(&a), 64u);
+  EXPECT_LE(link.buffer_bytes(&a), 64u * 1024u);
+}
+
 TEST_F(LinkTest, CountsTraffic) {
   link.Restore();
-  link.Send(&a, {1, 2, 3, 4});
-  link.Send(&b, {5});
+  link.Send(&a, Wire{1, 2, 3, 4});
+  link.Send(&b, Wire{5});
   EXPECT_EQ(link.messages_carried(), 2u);
   EXPECT_EQ(link.bytes_carried(), 5u);
 }
