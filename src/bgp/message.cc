@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/invariants.h"
+
 namespace iri::bgp {
 namespace {
 
@@ -21,7 +23,10 @@ std::size_t BeginMessage(MessageType type, ByteWriter& out) {
 }
 
 void EndMessage(std::size_t length_at, std::size_t start, ByteWriter& out) {
-  out.PatchU16(length_at, static_cast<std::uint16_t>(out.size() - start));
+  const std::size_t size = out.size() - start;
+  IRI_ASSERT(size <= kMaxMessageSize,
+             "encoded BGP message exceeds kMaxMessageSize; split it first");
+  out.PatchU16(length_at, static_cast<std::uint16_t>(size));
 }
 
 bool ReadAndCheckMarker(ByteReader& in) {

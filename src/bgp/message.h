@@ -81,9 +81,10 @@ using Message =
 MessageType TypeOf(const Message& msg);
 std::string ToString(const Message& msg);
 
-// Serializes a message including the 19-byte header. Never produces more
-// than kMaxMessageSize bytes; callers (the update packer) are responsible
-// for splitting over-large UPDATEs beforehand.
+// Serializes a message including the 19-byte header. Precondition: the
+// encoding fits in kMaxMessageSize bytes. Callers (the update packer) split
+// over-large UPDATEs beforehand; an oversized message fails an IRI_ASSERT,
+// since Decode() rejects it and past 65535 bytes its length field wraps.
 std::vector<std::uint8_t> Encode(const Message& msg);
 
 // Appends the encoded message to `out` — the allocation-free form of

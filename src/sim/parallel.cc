@@ -1,4 +1,4 @@
-// iri-lint: the threads rule exempts this file — it is the single home of
+// The thread-confinement check exempts this file — it is the single home of
 // raw threading primitives (see parallel.h for the determinism argument).
 #include "sim/parallel.h"
 

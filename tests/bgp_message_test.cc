@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/invariants.h"
 #include "netbase/rng.h"
 
 namespace iri::bgp {
@@ -179,6 +180,24 @@ TEST(MessageCodec, EstimateBoundsActualSize) {
     }
     EXPECT_GE(EstimateUpdateSize(u), Encode(u).size());
   }
+}
+
+// Encode's size bound is the caller's precondition: 2 000 /24s (~8 KB)
+// overflow one frame, and the encoder reports it instead of silently
+// emitting bytes Decode() rejects.
+TEST(MessageCodec, OversizedUpdateFailsSizeInvariant) {
+  inv::ResetForTest();
+  inv::SetPolicy(inv::Policy::kLog);
+  UpdateMessage u;
+  u.attributes = SampleAttrs();
+  for (std::uint32_t i = 0; i < 2000; ++i) {
+    u.nlri.push_back(Prefix(IPv4Address((10u << 24) | (i << 8)), 24));
+  }
+  const auto wire = Encode(u);
+  EXPECT_GT(wire.size(), kMaxMessageSize);
+  EXPECT_EQ(inv::InvariantStats().failed.load(), 1u);
+  EXPECT_FALSE(Decode(wire).has_value());
+  inv::ResetForTest();
 }
 
 // Fuzz: random bytes with a valid marker/length frame never crash the

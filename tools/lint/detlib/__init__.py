@@ -3,7 +3,7 @@
 This package backs tools/lint/iri_det.py. It builds a per-translation-unit
 semantic model (function definitions, call sites, range-for loops over
 unordered containers, wall-clock / RNG / threading constructs, the #include
-graph) from compile_commands.json and runs five verification passes over it:
+graph) from compile_commands.json and runs these verification passes over it:
 
   wall-clock-taint     no call path from a wall-clock or ad-hoc RNG read into
                        a digest / snapshot / MRT / series-JSONL sink
@@ -12,8 +12,11 @@ graph) from compile_commands.json and runs five verification passes over it:
   rng-discipline       every RNG draw goes through the seeded SplitMix64 /
                        Xoshiro streams in netbase/rng.h
   thread-confinement   raw threading primitives confined to sim/parallel.cc
+  wall-clock-confinement
+                       raw clock reads confined to netbase/time.*
   include-layering     the netbase -> obs -> bgp -> {sim,mrt,...} -> core ->
                        workload include DAG holds, and has no cycles
+  pragma-once          every first-party header has `#pragma once`
 
 Two interchangeable frontends produce the model:
 

@@ -2,9 +2,8 @@
 
 The analyzer is compilation-database driven: the set of files it verifies is
 exactly the translation units CMake builds plus the repo headers they reach
-through quoted includes. Files outside that closure (dead code, generated
-trees) stay the regex lint's responsibility — iri_lint.py asks this module
-for the covered set to decide what to delegate.
+through quoted includes. A file outside that closure is dead code, or not
+yet in the build, and is not checked.
 """
 
 from __future__ import annotations

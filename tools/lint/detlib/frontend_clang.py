@@ -21,7 +21,8 @@ import pathlib
 from . import compdb
 from .model import (CallSite, ConstructUse, FileInfo, FunctionInfo,
                     IncludeEdge, IterSite, Model, rel_posix)
-from .frontend_fallback import collect_suppressions, INCLUDE_RE
+from .frontend_fallback import (collect_suppressions, INCLUDE_RE,
+                                PRAGMA_ONCE_RE)
 
 try:  # pragma: no cover - exercised only where libclang is installed
     import clang.cindex as cindex
@@ -55,7 +56,7 @@ _UNORDERED_TYPES = ("unordered_map", "unordered_set", "unordered_multimap",
 _WALLCLOCK_TYPES = ("std::chrono::system_clock", "std::chrono::steady_clock",
                     "std::chrono::high_resolution_clock")
 _WALLCLOCK_CALLS = {"gettimeofday", "clock_gettime", "clock", "time",
-                    "localtime", "gmtime", "WallClockNanos"}
+                    "localtime", "gmtime", "localtime_r", "gmtime_r"}
 _RNG_TYPES = ("std::mersenne_twister_engine", "std::mt19937",
               "std::random_device", "std::linear_congruential_engine",
               "std::default_random_engine", "std::subtract_with_carry_engine")
@@ -207,7 +208,8 @@ def _file_info(path: pathlib.Path, rel: str) -> FileInfo:
     except OSError:
         text = ""
     lines = text.splitlines()
-    info = FileInfo(path=rel, suppressions=collect_suppressions(lines))
+    info = FileInfo(path=rel, suppressions=collect_suppressions(lines),
+                    pragma_once=bool(PRAGMA_ONCE_RE.search(text)))
     for line_no, line in enumerate(lines, start=1):
         m = INCLUDE_RE.search(line)
         if m:

@@ -66,8 +66,6 @@ def scrub(text: str) -> str:
 
 CONSTRUCT_PATTERNS: list[tuple[str, re.Pattern, str]] = [
     ("wallclock", re.compile(
-        r"\bWallClockNanos\s*\("), "WallClockNanos()"),
-    ("wallclock", re.compile(
         r"\bstd::chrono::(?:system|steady|high_resolution)_clock\b"),
      "std::chrono clock"),
     ("wallclock", re.compile(r"(?<![\w:])time\s*\(\s*(?:nullptr|NULL|0|&)"),
@@ -75,11 +73,14 @@ CONSTRUCT_PATTERNS: list[tuple[str, re.Pattern, str]] = [
     ("wallclock", re.compile(r"\bgettimeofday\s*\("), "gettimeofday()"),
     ("wallclock", re.compile(r"\bclock_gettime\s*\("), "clock_gettime()"),
     ("wallclock", re.compile(r"(?<![\w:])clock\s*\(\s*\)"), "clock()"),
+    ("wallclock", re.compile(r"(?<![\w:])(?:localtime|gmtime)(?:_r)?\s*\("),
+     "localtime()/gmtime()"),
     ("rng", re.compile(r"\bstd::random_device\b"), "std::random_device"),
     ("rng", re.compile(r"\bstd::mt19937(?:_64)?\b"), "std::mt19937"),
     ("rng", re.compile(r"\bstd::(?:default_random_engine|minstd_rand0?|"
                        r"ranlux\w+|knuth_b)\b"), "std <random> engine"),
     ("rng", re.compile(r"(?<![\w:])s?rand\s*\("), "rand()/srand()"),
+    ("rng", re.compile(r"(?<![\w:])d?random\s*\("), "random()/drandom()"),
     ("rng", re.compile(r"(?<![\w:])[ed]rand48\s*\("), "*rand48()"),
     ("rng", re.compile(r"#\s*include\s*<random>"), "<random>"),
     ("thread", re.compile(r"\bstd::(?:jthread|thread)\b"),
@@ -99,6 +100,7 @@ CONSTRUCT_PATTERNS: list[tuple[str, re.Pattern, str]] = [
 ]
 
 INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
+PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b", re.MULTILINE)
 
 UNORDERED_TYPE_RE = re.compile(
     r"\bstd\s*::\s*unordered_(?:map|set|multimap|multiset)\b")
@@ -226,7 +228,8 @@ class FileParser:
         self.scrubbed = scrub(text)
         self.scrubbed_lines = self.scrubbed.splitlines()
         self.info = FileInfo(path=rel,
-                             suppressions=collect_suppressions(self.raw_lines))
+                             suppressions=collect_suppressions(self.raw_lines),
+                             pragma_once=bool(PRAGMA_ONCE_RE.search(text)))
         self.functions: list[FunctionInfo] = []
         # Names from the program-wide table (headers declare, .cc iterates).
         self.global_unordered: set[str] = set(extra_unordered or ())

@@ -2,8 +2,8 @@
 
 A Model is a whole-program view assembled from every translation unit in
 compile_commands.json plus the repo headers they include. It deliberately
-stores *less* than a full AST: only the facts the five determinism passes
-need, so both the libclang frontend and the fallback parser can produce it.
+stores *less* than a full AST: only the facts the determinism passes need,
+so both the libclang frontend and the fallback parser can produce it.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ class ConstructUse:
     """A determinism-relevant construct inside a function (or at file scope).
 
     kind is one of:
-      "wallclock"  wall-clock read (WallClockNanos, std::chrono system/steady
-                   clocks, time(), gettimeofday, clock_gettime, ...)
+      "wallclock"  raw wall-clock read (std::chrono system/steady clocks,
+                   time(), gettimeofday, clock_gettime, localtime(), ...);
+                   calls to the WallClockNanos() accessor are call sites
       "rng"        ad-hoc RNG (std::mt19937, std::random_device, rand(), ...)
       "thread"     raw threading (std::thread/jthread/async, mutexes,
                    condition variables, semaphores, threading headers)
@@ -80,6 +81,7 @@ class FileInfo:
     constructs: list[ConstructUse] = dataclasses.field(default_factory=list)
     # line -> set of check ids suppressed via `iri-det: allow(<check>)`.
     suppressions: dict[int, set[str]] = dataclasses.field(default_factory=dict)
+    pragma_once: bool = False  # a line starts with `#pragma once`
 
 
 class Model:

@@ -1,4 +1,4 @@
-"""The five determinism verification passes over a detlib Model.
+"""The determinism verification passes over a detlib Model.
 
 Each pass emits Finding records with a stable identity (check, file,
 function, detail — line numbers are recorded for display but excluded from
@@ -13,6 +13,7 @@ change.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import pathlib
 import re
 
@@ -26,7 +27,9 @@ CHECKS = (
     "unordered-in-output",
     "rng-discipline",
     "thread-confinement",
+    "wall-clock-confinement",
     "include-layering",
+    "pragma-once",
 )
 
 
@@ -70,7 +73,8 @@ class DetConfig:
                              "src/workload/", "tools/lint/detfixtures/")
 
     # Taint sources beyond construct kinds {wallclock, rng}: calls to these
-    # function names taint even when the body is out of model.
+    # function names taint even when the body is out of model. They are the
+    # sanctioned accessors, so wall-clock-confinement leaves them alone.
     source_call_names: frozenset = frozenset({"WallClockNanos"})
 
     # Functions where taint propagation stops: the profiling layer reads the
@@ -79,19 +83,29 @@ class DetConfig:
     taint_allow_qname_re: re.Pattern = re.compile(
         r"(^|::)ScopedTimer(::|$)|::EnableWallClockProfile$")
     taint_allow_file_re: re.Pattern = re.compile(r"^src/obs/profile\.")
-    # Files whose wall-clock constructs are the sanctioned implementation.
-    wallclock_impl_files: frozenset = frozenset(
-        {"src/netbase/time.h", "src/netbase/time.cc"})
 
-    # RNG discipline: the seeded SplitMix64/Xoshiro implementation.
-    rng_impl_files: frozenset = frozenset({"src/netbase/rng.h"})
-
-    # Thread confinement.
-    thread_files: frozenset = frozenset({"src/sim/parallel.cc"})
-    atomic_files: frozenset = frozenset(
-        {"src/sim/parallel.cc", "src/core/invariants.h"})
-    # rng-discipline / thread-confinement apply to first-party code only:
-    # tests and benches may time themselves or exercise the pool directly.
+    # Confinement: construct kind -> (check id, the files that are its
+    # sanctioned implementation, what to do instead). The rng and wallclock
+    # homes also stop wall-clock-taint: their reads are the implementation.
+    confinement: dict = dataclasses.field(default_factory=lambda: {
+        "rng": ("rng-discipline", frozenset({"src/netbase/rng.h"}),
+                "bypasses the seeded SplitMix64/Xoshiro streams "
+                "(netbase/rng.h); derive a sub-seed via "
+                "ExchangeSubSeed/Rng::Fork instead"),
+        "thread": ("thread-confinement", frozenset({"src/sim/parallel.cc"}),
+                   "outside sim/parallel.cc; use sim::ParallelFor over "
+                   "independent partitions"),
+        "atomic": ("thread-confinement",
+                   frozenset({"src/sim/parallel.cc", "src/core/invariants.h"}),
+                   "outside sim/parallel.cc and core/invariants.h; shared "
+                   "mutable state breaks bit-for-bit reproducibility"),
+        "wallclock": ("wall-clock-confinement",
+                      frozenset({"src/netbase/time.h", "src/netbase/time.cc"}),
+                      "outside netbase/time.*; iri runs on simulated time "
+                      "only"),
+    })
+    # Confinement and pragma-once apply to first-party code only: tests and
+    # benches may time themselves or exercise the pool directly.
     confinement_prefixes: tuple = ("src/", "tools/")
 
     # Layering: directory under src/ -> directories it may include.
@@ -162,6 +176,11 @@ def _excluded(cfg: DetConfig, path: str, keep: str | None) -> bool:
     return bool(cfg.exclude_re.search(path))
 
 
+def _first_party(cfg: DetConfig, path: str, keep: str | None) -> bool:
+    return path == keep or (path.startswith(cfg.confinement_prefixes)
+                            and not cfg.exclude_re.search(path))
+
+
 def pass_wallclock_taint(model: Model, cfg: DetConfig,
                          keep: str | None = None) -> list[Finding]:
     findings: list[Finding] = []
@@ -177,9 +196,8 @@ def pass_wallclock_taint(model: Model, cfg: DetConfig,
             continue
         if _excluded(cfg, fn.file, keep):
             continue
-        tainted = [c for c in fn.constructs if c.kind in ("wallclock", "rng")]
-        if fn.file in cfg.wallclock_impl_files or fn.file in cfg.rng_impl_files:
-            tainted = []
+        tainted = [c for c in fn.constructs if c.kind in ("wallclock", "rng")
+                   and fn.file not in cfg.confinement[c.kind][1]]
         for use in tainted:
             if model.suppressed(fn.file, use.line, "wall-clock-taint"):
                 continue
@@ -190,18 +208,15 @@ def pass_wallclock_taint(model: Model, cfg: DetConfig,
                 f"{use.detail} feeds an output sink via {via}; digests/"
                 "MRT/series bytes must be wall-clock independent "
                 "(route wall time through Stability::kWallClock instruments)"))
-        # Calls to out-of-model sources (e.g. WallClockNanos when only its
-        # declaration is visible).
+        # Calls to the source accessors (WallClockNanos), whose bodies may be
+        # out of model and are not raw constructs.
         for call in fn.calls:
             base = call.name.rsplit("::", 1)[-1]
             if base in cfg.source_call_names and not allowed(fn):
-                if fn.file in cfg.wallclock_impl_files:
+                if fn.file in cfg.confinement["wallclock"][1]:
                     continue
                 if model.suppressed(fn.file, call.line, "wall-clock-taint"):
                     continue
-                if any(c.line == call.line and c.kind == "wallclock"
-                       for c in fn.constructs):
-                    continue  # already reported via the construct scan
                 via = " -> ".join(chain)
                 findings.append(Finding(
                     "wall-clock-taint", fn.file, call.line, fn.qname,
@@ -232,57 +247,44 @@ def pass_unordered_in_output(model: Model, cfg: DetConfig,
     return findings
 
 
-def pass_rng_discipline(model: Model, cfg: DetConfig,
-                        keep: str | None = None) -> list[Finding]:
+def pass_confinement(model: Model, cfg: DetConfig, keep: str | None = None,
+                     *, check: str) -> list[Finding]:
+    """rng-discipline, thread-confinement and wall-clock-confinement: each
+    construct kind `check` owns in cfg.confinement may appear only in that
+    kind's sanctioned files."""
+    rules = {kind: rule for kind, rule in cfg.confinement.items()
+             if rule[0] == check}
+    fns_by_file: dict[str, list[FunctionInfo]] = {}
+    for fn in model.iter_functions():
+        fns_by_file.setdefault(fn.file, []).append(fn)
     findings: list[Finding] = []
     for path, info in model.files.items():
-        if path in cfg.rng_impl_files or _excluded(cfg, path, keep):
+        if not _first_party(cfg, path, keep):
             continue
-        if not path.startswith(cfg.confinement_prefixes) and path != keep:
-            continue
-        fns_here = [f for f in model.iter_functions() if f.file == path]
-        scoped = [(c, f.qname) for f in fns_here for c in f.constructs]
+        scoped = [(c, f.qname) for f in fns_by_file.get(path, [])
+                  for c in f.constructs]
         scoped += [(c, "") for c in info.constructs]
         for use, qname in scoped:
-            if use.kind != "rng":
+            rule = rules.get(use.kind)
+            if rule is None or path in rule[1]:
                 continue
-            if model.suppressed(path, use.line, "rng-discipline"):
+            if model.suppressed(path, use.line, check):
                 continue
-            findings.append(Finding(
-                "rng-discipline", path, use.line, qname, use.detail,
-                f"{use.detail} bypasses the seeded SplitMix64/Xoshiro "
-                "streams (netbase/rng.h); derive a sub-seed via "
-                "ExchangeSubSeed/Rng::Fork instead"))
+            findings.append(Finding(check, path, use.line, qname, use.detail,
+                                    f"{use.detail} {rule[2]}"))
     return findings
 
 
-def pass_thread_confinement(model: Model, cfg: DetConfig,
-                            keep: str | None = None) -> list[Finding]:
+def pass_pragma_once(model: Model, cfg: DetConfig,
+                     keep: str | None = None) -> list[Finding]:
     findings: list[Finding] = []
     for path, info in model.files.items():
-        if _excluded(cfg, path, keep):
-            continue
-        if not path.startswith(cfg.confinement_prefixes) and path != keep:
-            continue
-        fns_here = [f for f in model.iter_functions() if f.file == path]
-        scoped = [(c, f.qname) for f in fns_here for c in f.constructs]
-        scoped += [(c, "") for c in info.constructs]
-        for use, qname in scoped:
-            if use.kind == "thread" and path not in cfg.thread_files:
-                if model.suppressed(path, use.line, "thread-confinement"):
-                    continue
-                findings.append(Finding(
-                    "thread-confinement", path, use.line, qname, use.detail,
-                    f"{use.detail} outside sim/parallel.cc; use "
-                    "sim::ParallelFor over independent partitions"))
-            elif use.kind == "atomic" and path not in cfg.atomic_files:
-                if model.suppressed(path, use.line, "thread-confinement"):
-                    continue
-                findings.append(Finding(
-                    "thread-confinement", path, use.line, qname, use.detail,
-                    f"{use.detail} outside sim/parallel.cc and "
-                    "core/invariants.h; shared mutable state breaks "
-                    "bit-for-bit reproducibility"))
+        if (path.endswith((".h", ".hpp")) and not info.pragma_once
+                and _first_party(cfg, path, keep)
+                and not model.suppressed(path, 1, "pragma-once")):
+            findings.append(Finding(
+                "pragma-once", path, 1, "", "no #pragma once",
+                "header lacks #pragma once"))
     return findings
 
 
@@ -364,9 +366,10 @@ def pass_include_layering(model: Model, cfg: DetConfig,
 PASS_FUNCTIONS = {
     "wall-clock-taint": pass_wallclock_taint,
     "unordered-in-output": pass_unordered_in_output,
-    "rng-discipline": pass_rng_discipline,
-    "thread-confinement": pass_thread_confinement,
     "include-layering": pass_include_layering,
+    "pragma-once": pass_pragma_once,
+    **{check: functools.partial(pass_confinement, check=check)
+       for check, _, _ in DetConfig().confinement.values()},
 }
 
 

@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Semantic determinism analyzer for the iri sim/digest contract.
 
-Where tools/lint/iri_lint.py pattern-matches single lines, this tool builds a
-whole-program model from compile_commands.json (function definitions, call
-graph, container iteration, include DAG) and verifies the determinism
-contract *semantically* (DESIGN.md §11):
+Builds a whole-program model from compile_commands.json (function
+definitions, call graph, container iteration, include DAG) and verifies the
+determinism contract over every file in that closure (DESIGN.md §11):
 
   wall-clock-taint     no call path from WallClockNanos()/std::chrono system
                        clocks/rand() into a digest, metrics-snapshot, MRT,
@@ -17,12 +16,18 @@ contract *semantically* (DESIGN.md §11):
                        merge code.
   rng-discipline       every RNG draw goes through the seeded SplitMix64 /
                        Xoshiro streams (netbase/rng.h + ExchangeSubSeed);
-                       no ad-hoc std::mt19937 / rand() / <random>.
+                       no ad-hoc std::mt19937 / rand() / random() / <random>.
   thread-confinement   std::thread/std::async/mutexes/atomics only in
                        src/sim/parallel.cc (atomics also core/invariants.h).
+  wall-clock-confinement
+                       raw clock reads (std::chrono clocks, time(),
+                       gettimeofday, clock_gettime, clock(), localtime(),
+                       gmtime()) only in netbase/time.*; the WallClockNanos()
+                       accessor is left to wall-clock-taint.
   include-layering     the netbase -> obs -> bgp -> {sim,mrt,topology,
                        analysis,igp} -> core -> workload layer order holds
                        over the full include DAG, and the DAG is acyclic.
+  pragma-once          every first-party header has `#pragma once`.
 
 Frontends (--frontend auto|clang|fallback): libclang AST when the clang
 python bindings are installed (CI does this), otherwise a dependency-free
@@ -234,7 +239,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--frontend", choices=("auto", "clang", "fallback"),
                         default="auto")
     parser.add_argument("--check", action="append", choices=CHECKS,
-                        help="run only these passes (default: all five)")
+                        help=f"run only these passes (default: all "
+                             f"{len(CHECKS)})")
     parser.add_argument("--json", type=pathlib.Path, default=None,
                         help="write machine-readable findings to this path")
     parser.add_argument("--baseline", type=pathlib.Path,
